@@ -1,10 +1,14 @@
 """Idealized score models: isotropic, Gaussian, Gaussian mixture, delta mixture.
 
-Each model evaluates the score ``s(x, sigma)`` of its noise-corrupted
-distribution and the matching optimal denoiser ``D(x, sigma) = x + sigma^2 s``.
-All operations accept a single query point of shape (D,) or a batch of shape
-(M, D); every output row is a pure function of its input row, so batched and
-single-point calls agree bitwise.
+Each model defines only its optimal denoiser ``D(x, sigma)``; the score of
+the noise-corrupted distribution follows from it once, in ``ScoreModel``, as
+``s(x, sigma) = (D(x, sigma) - x) / sigma^2``. The two mixtures share one
+posterior-weight loop: their denoiser is ``sum_i w_i(x, sigma) D_i(x, sigma)``,
+where ``D_i`` is a Gaussian component's denoiser or, for the delta mixture,
+the training point ``y_i``. All operations accept a single query point of
+shape (D,) or a batch of shape (M, D); every output row is a pure function of
+its input row, so batched and single-point calls agree bitwise. Noise levels
+must satisfy ``1.49e-154 <= sigma <= 1.34e154`` (``sigma^2`` a normal double).
 
 Mixture weights are always computed in log space with max subtraction; the
 softmax of Gaussian log-densities otherwise underflows catastrophically at
@@ -63,11 +67,25 @@ __all__ = [
 # without changing per-row results.
 _CHUNK = 256
 
+# Exactly the noise levels whose square is a normal, finite double.
+_SIGMA_MIN = float(np.sqrt(np.finfo(np.float64).tiny))  # 1.49e-154
+_SIGMA_MAX = float(np.sqrt(np.finfo(np.float64).max))  # 1.34e154
+
 
 def _check_sigma(sigma) -> float:
+    """Validate a noise level; every model evaluation passes through here.
+
+    The domain is ``1.49e-154 <= sigma <= 1.34e154``: ``sigma^2`` must be a
+    normal, finite double. Above it ``sigma**2`` overflows; below it
+    ``sigma^2`` is subnormal or zero and the ``1/sigma^2`` scalings turn
+    into inf/NaN.
+    """
     sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma <= 0:
-        raise InvalidNoise(f"sigma must be positive and finite, got {sigma}")
+    if not _SIGMA_MIN <= sigma <= _SIGMA_MAX:  # also rejects NaN
+        raise InvalidNoise(
+            f"sigma must lie in [{_SIGMA_MIN:.3g}, {_SIGMA_MAX:.3g}] so that sigma^2 "
+            f"is a normal finite double, got {sigma}"
+        )
     return sigma
 
 
@@ -95,47 +113,24 @@ def _sq_norm_rows(x: np.ndarray) -> np.ndarray:
     return np.einsum("md,md->m", x, x)
 
 
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    w = np.exp(shifted)
+    return w / w.sum(axis=1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
-# Core score / denoiser formulas (batched)
+# Gaussian formulas (batched, sigma already validated)
 # ---------------------------------------------------------------------------
 
-def iso_score(mean, x, sigma):
-    """Isotropic score (mean - x) / sigma^2; the covariance-free model."""
-    sigma = _check_sigma(sigma)
-    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-    xb, single = _as_batch(x, mean.size)
-    out = (mean - xb) / sigma**2
-    return out[0] if single else out
-
-
-def gaussian_score(spec: CompactSpectrum, x, sigma):
-    """Score of N(mean, Sigma + sigma^2 I) in Woodbury form.
-
-    Evaluates ``(1/sigma^2) (I - U diag[lam/(lam+sigma^2)] U^T)(mean - x)``
-    in O(D r) per query; no D x D matrix is ever formed. With r = 0 this
-    reduces to the isotropic score.
-    """
-    sigma = _check_sigma(sigma)
-    xb, single = _as_batch(x, spec.dim)
-    diff = spec.mean - xb
-    out = diff / sigma**2
-    if spec.rank:
-        shrink = spec.eigenvalues / (spec.eigenvalues + sigma**2)
-        c = _project(diff, spec.basis)
-        out = out - _lift(c * shrink, spec.basis) / sigma**2
-    return out[0] if single else out
-
-
-def gaussian_denoise(spec: CompactSpectrum, x, sigma):
-    """Optimal denoiser mean + U diag[lam/(lam+sigma^2)] U^T (x - mean)."""
-    sigma = _check_sigma(sigma)
-    xb, single = _as_batch(x, spec.dim)
+def _gaussian_denoise(spec: CompactSpectrum, xb: np.ndarray, sigma: float) -> np.ndarray:
+    """mean + U diag[lam/(lam+sigma^2)] U^T (x - mean), in O(D r) per row."""
     out = np.broadcast_to(spec.mean, xb.shape).copy()
     if spec.rank:
         shrink = spec.eigenvalues / (spec.eigenvalues + sigma**2)
         c = _project(xb - spec.mean, spec.basis)
         out = out + _lift(c * shrink, spec.basis)
-    return out[0] if single else out
+    return out
 
 
 def _gaussian_log_density(spec: CompactSpectrum, xb: np.ndarray, sigma: float) -> np.ndarray:
@@ -154,69 +149,33 @@ def _gaussian_log_density(spec: CompactSpectrum, xb: np.ndarray, sigma: float) -
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad / sigma**2)
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
-
-
-def delta_score(cloud: PointCloud, x, sigma):
-    """Exact score of a finite point cloud, (1/sigma^2)(sum_i w_i y_i - x)."""
-    sigma = _check_sigma(sigma)
-    if not isinstance(cloud, PointCloud):
-        cloud = PointCloud(np.asarray(cloud))
-    xb, single = _as_batch(x, cloud.dim)
-    out = (_delta_denoise_batch(cloud, xb, sigma) - xb) / sigma**2
-    return out[0] if single else out
-
-
-def delta_denoise(cloud: PointCloud, x, sigma):
-    """Softmax-weighted combination of training points (their convex hull)."""
-    sigma = _check_sigma(sigma)
-    if not isinstance(cloud, PointCloud):
-        cloud = PointCloud(np.asarray(cloud))
-    xb, single = _as_batch(x, cloud.dim)
-    out = _delta_denoise_batch(cloud, xb, sigma)
-    return out[0] if single else out
-
-
-def _delta_log_weights(cloud: PointCloud, xb: np.ndarray, sigma: float) -> np.ndarray:
-    # -|x - y_i|^2 / (2 sigma^2), computed from explicit differences: the
-    # expanded |x|^2 - 2 x.y + |y|^2 form cancels catastrophically when the
-    # softmax gaps matter most.
-    diff = xb[:, None, :] - cloud.data[None, :, :]
-    return -np.einsum("mnd,mnd->mn", diff, diff) / (2.0 * sigma**2)
-
-
-def _delta_denoise_batch(cloud: PointCloud, xb: np.ndarray, sigma: float) -> np.ndarray:
-    out = np.empty_like(xb)
-    for lo in range(0, xb.shape[0], _CHUNK):
-        chunk = xb[lo : lo + _CHUNK]
-        w = _softmax_rows(_delta_log_weights(cloud, chunk, sigma))
-        out[lo : lo + _CHUNK] = np.einsum("mn,nd->md", w, cloud.data)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Model classes
 # ---------------------------------------------------------------------------
 
 class ScoreModel:
-    """Evaluable score/denoiser field pair. Immutable and shareable."""
+    """Evaluable denoiser field and the score it implies. Immutable and shareable.
+
+    Subclasses define ``denoise``; ``score`` follows from it here and
+    nowhere else.
+    """
 
     variant = "base"
     dim: int
 
-    def score(self, x, sigma):
-        raise NotImplementedError
-
     def denoise(self, x, sigma):
         raise NotImplementedError
+
+    def score(self, x, sigma):
+        """s(x, sigma) = (D(x, sigma) - x) / sigma^2."""
+        sigma = _check_sigma(sigma)
+        x = np.asarray(x, dtype=np.float64)
+        return (self.denoise(x, sigma) - x) / sigma**2
 
 
 @dataclass(frozen=True)
 class IsotropicModel(ScoreModel):
-    """All structure reduced to the data mean; s(x, sigma) = (mean - x)/sigma^2."""
+    """All structure reduced to the data mean; D(x, sigma) = mean."""
 
     mean: np.ndarray
     variant = "isotropic"
@@ -229,9 +188,6 @@ class IsotropicModel(ScoreModel):
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    def score(self, x, sigma):
-        return iso_score(self.mean, x, sigma)
 
     def denoise(self, x, sigma):
         _check_sigma(sigma)
@@ -255,11 +211,11 @@ class GaussianModel(ScoreModel):
     def from_cloud(cls, cloud: PointCloud, max_rank: int | None = None) -> "GaussianModel":
         return cls(spectrum_from_cloud(cloud, max_rank))
 
-    def score(self, x, sigma):
-        return gaussian_score(self.spectrum, x, sigma)
-
     def denoise(self, x, sigma):
-        return gaussian_denoise(self.spectrum, x, sigma)
+        sigma = _check_sigma(sigma)
+        xb, single = _as_batch(x, self.dim)
+        out = _gaussian_denoise(self.spectrum, xb, sigma)
+        return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -274,8 +230,37 @@ class GaussianComponent:
             raise InvalidData(f"component weight must be > 0, got {self.weight}")
 
 
+class _PosteriorMixture(ScoreModel):
+    """A mixture whose denoiser is ``sum_i w_i(x, sigma) D_i(x, sigma)``.
+
+    A variant supplies ``_log_weights`` (unnormalised log posteriors, one
+    column per component) and ``_combine`` (the weighted sum of component
+    denoisers). Rows run in chunks of ``_CHUNK``; the softmax is taken in
+    log space with max subtraction.
+    """
+
+    n_components: int
+
+    def _per_chunk(self, x, sigma, width: int, step):
+        sigma = _check_sigma(sigma)
+        xb, single = _as_batch(x, self.dim)
+        out = np.empty((xb.shape[0], width))
+        for lo in range(0, xb.shape[0], _CHUNK):
+            chunk = xb[lo : lo + _CHUNK]
+            w = _softmax_rows(self._log_weights(chunk, sigma))
+            out[lo : lo + _CHUNK] = step(w, chunk, sigma)
+        return out[0] if single else out
+
+    def denoise(self, x, sigma):
+        return self._per_chunk(x, sigma, self.dim, self._combine)
+
+    def posterior_weights(self, x, sigma):
+        """Posterior component weights w_i(x, sigma), rows summing to 1."""
+        return self._per_chunk(x, sigma, self.n_components, lambda w, xb, sigma: w)
+
+
 @dataclass(frozen=True)
-class MixtureModel(ScoreModel):
+class MixtureModel(_PosteriorMixture):
     """Gaussian mixture; weights must sum to 1 within 1e-12."""
 
     components: tuple[GaussianComponent, ...]
@@ -301,16 +286,27 @@ class MixtureModel(ScoreModel):
     def n_components(self) -> int:
         return len(self.components)
 
-    def score(self, x, sigma):
-        return gmm_score(self, x, sigma)
+    def _log_weights(self, xb, sigma):
+        # log pi_i + log N(x; mu_i, sigma^2 I + Sigma_i)
+        return np.column_stack([
+            np.log(c.weight) + _gaussian_log_density(c.spectrum, xb, sigma)
+            for c in self.components
+        ])
 
-    def denoise(self, x, sigma):
-        return gmm_denoise(self, x, sigma)
+    def _combine(self, w, xb, sigma):
+        out = np.zeros_like(xb)
+        for i, c in enumerate(self.components):
+            out += w[:, i : i + 1] * _gaussian_denoise(c.spectrum, xb, sigma)
+        return out
 
 
 @dataclass(frozen=True)
-class DeltaMixtureModel(ScoreModel):
-    """Exact score of the training set: equal point masses at the samples."""
+class DeltaMixtureModel(_PosteriorMixture):
+    """Exact score of the training set: equal point masses at the samples.
+
+    Each component's denoiser is its training point, so the denoiser is the
+    softmax-weighted combination of training points (their convex hull).
+    """
 
     cloud: PointCloud
     variant = "delta"
@@ -325,16 +321,45 @@ class DeltaMixtureModel(ScoreModel):
     def dim(self) -> int:
         return self.cloud.dim
 
-    def score(self, x, sigma):
-        return delta_score(self.cloud, x, sigma)
+    @property
+    def n_components(self) -> int:
+        return self.cloud.n_samples
 
-    def denoise(self, x, sigma):
-        return delta_denoise(self.cloud, x, sigma)
+    def _log_weights(self, xb, sigma):
+        # -|x - y_i|^2 / (2 sigma^2), computed from explicit differences: the
+        # expanded |x|^2 - 2 x.y + |y|^2 form cancels catastrophically when the
+        # softmax gaps matter most.
+        diff = xb[:, None, :] - self.cloud.data[None, :, :]
+        return -np.einsum("mnd,mnd->mn", diff, diff) / (2.0 * sigma**2)
+
+    def _combine(self, w, xb, sigma):
+        return np.einsum("mn,nd->md", w, self.cloud.data)
 
 
 # ---------------------------------------------------------------------------
-# Mixture evaluation
+# Function forms
 # ---------------------------------------------------------------------------
+
+def _expect(model, cls: type, fn: str):
+    if not isinstance(model, cls):
+        raise WrongVariant(f"{fn} needs a mixture variant, got {getattr(model, 'variant', type(model))!r}")
+    return model
+
+
+def iso_score(mean, x, sigma):
+    """Isotropic score (mean - x) / sigma^2; the covariance-free model."""
+    return IsotropicModel(mean).score(x, sigma)
+
+
+def gaussian_score(spec: CompactSpectrum, x, sigma):
+    """Score of N(mean, Sigma + sigma^2 I): (I - U diag[lam/(lam+sigma^2)] U^T)(mean - x)/sigma^2."""
+    return GaussianModel(spec).score(x, sigma)
+
+
+def gaussian_denoise(spec: CompactSpectrum, x, sigma):
+    """Optimal denoiser mean + U diag[lam/(lam+sigma^2)] U^T (x - mean)."""
+    return GaussianModel(spec).denoise(x, sigma)
+
 
 def mixture_weights(model: ScoreModel, x, sigma):
     """Posterior component weights w_i(x, sigma), rows summing to 1.
@@ -342,58 +367,27 @@ def mixture_weights(model: ScoreModel, x, sigma):
     Mixture: softmax over ``log pi_i + log N(x; mu_i, sigma^2 I + Sigma_i)``.
     Delta mixture: softmax over ``-|x - y_i|^2 / (2 sigma^2)``.
     """
-    sigma = _check_sigma(sigma)
-    if isinstance(model, MixtureModel):
-        xb, single = _as_batch(x, model.dim)
-        logits = np.empty((xb.shape[0], model.n_components))
-        for i, comp in enumerate(model.components):
-            logits[:, i] = np.log(comp.weight) + _gaussian_log_density(
-                comp.spectrum, xb, sigma
-            )
-        w = _softmax_rows(logits)
-    elif isinstance(model, DeltaMixtureModel):
-        xb, single = _as_batch(x, model.dim)
-        w = np.empty((xb.shape[0], model.cloud.n_samples))
-        for lo in range(0, xb.shape[0], _CHUNK):
-            chunk = xb[lo : lo + _CHUNK]
-            w[lo : lo + _CHUNK] = _softmax_rows(
-                _delta_log_weights(model.cloud, chunk, sigma)
-            )
-    else:
-        raise WrongVariant(f"mixture_weights needs a mixture variant, got {model.variant!r}")
-    return w[0] if single else w
+    return _expect(model, _PosteriorMixture, "mixture_weights").posterior_weights(x, sigma)
 
 
 def gmm_score(model: MixtureModel, x, sigma):
-    """Weighted sum of per-component Gaussian scores; K = 1 equals gaussian_score."""
-    if not isinstance(model, MixtureModel):
-        raise WrongVariant(f"gmm_score needs a mixture, got {getattr(model, 'variant', type(model))!r}")
-    sigma = _check_sigma(sigma)
-    xb, single = _as_batch(x, model.dim)
-    if model.n_components == 1:
-        out = gaussian_score(model.components[0].spectrum, xb, sigma)
-        return out[0] if single else out
-    w = mixture_weights(model, xb, sigma)
-    out = np.zeros_like(xb)
-    for i, comp in enumerate(model.components):
-        out += w[:, i : i + 1] * gaussian_score(comp.spectrum, xb, sigma)
-    return out[0] if single else out
+    """Gaussian-mixture score; K = 1 equals gaussian_score."""
+    return _expect(model, MixtureModel, "gmm_score").score(x, sigma)
 
 
 def gmm_denoise(model: MixtureModel, x, sigma):
     """Weighted sum of per-component optimal denoisers."""
-    if not isinstance(model, MixtureModel):
-        raise WrongVariant(f"gmm_denoise needs a mixture, got {getattr(model, 'variant', type(model))!r}")
-    sigma = _check_sigma(sigma)
-    xb, single = _as_batch(x, model.dim)
-    if model.n_components == 1:
-        out = gaussian_denoise(model.components[0].spectrum, xb, sigma)
-        return out[0] if single else out
-    w = mixture_weights(model, xb, sigma)
-    out = np.zeros_like(xb)
-    for i, comp in enumerate(model.components):
-        out += w[:, i : i + 1] * gaussian_denoise(comp.spectrum, xb, sigma)
-    return out[0] if single else out
+    return _expect(model, MixtureModel, "gmm_denoise").denoise(x, sigma)
+
+
+def delta_score(cloud: PointCloud, x, sigma):
+    """Exact score of a finite point cloud, (1/sigma^2)(sum_i w_i y_i - x)."""
+    return DeltaMixtureModel(cloud).score(x, sigma)
+
+
+def delta_denoise(cloud: PointCloud, x, sigma):
+    """Softmax-weighted combination of training points (their convex hull)."""
+    return DeltaMixtureModel(cloud).denoise(x, sigma)
 
 
 # ---------------------------------------------------------------------------

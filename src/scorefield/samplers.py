@@ -8,12 +8,11 @@ evaluations actually performed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidInput, InvalidSkip, NumericalBlowup
+from .errors import InvalidInput, InvalidSkip, NumericalBlowup
 from .models import ScoreModel
 from .schedules import NoiseGrid, NoiseSchedule, karras_grid
 from .solution import SolutionContext, solve_state
@@ -361,8 +360,3 @@ def load_trajectory_csv(path) -> Trajectory:
     den = np.column_stack([cols[n] for n in d_cols]) if d_cols else None
     return Trajectory(cols["t"], cols["sigma"], cols["alpha"], states, den)
 
-
-def save_trajectory_meta(traj: Trajectory, path) -> None:
-    meta = {k: v for k, v in traj.metadata.items()}
-    with open(path, "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True, default=str)

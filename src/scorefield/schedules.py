@@ -13,7 +13,6 @@ monotone (linear) interpolation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,15 +305,3 @@ def parse_schedule_spec(spec: str) -> NoiseSchedule:
         return schedule_from_config({"kind": "table", "path": spec.split(":", 1)[1]})
     raise UnsupportedFramework(f"unknown schedule kind {kind!r}")
 
-
-def schedule_to_config(schedule: NoiseSchedule) -> dict:
-    if isinstance(schedule, EdmSchedule):
-        return {"kind": "edm", "sigma_min": schedule.sigma_min, "sigma_max": schedule.sigma_max}
-    if isinstance(schedule, VpSchedule):
-        return {
-            "kind": "vp",
-            "beta_min": schedule.beta_min,
-            "beta_max": schedule.beta_max,
-            "T": schedule.horizon,
-        }
-    raise UnsupportedFramework("only edm/vp schedules round-trip to config")

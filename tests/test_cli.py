@@ -200,5 +200,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "absent.bin" in err
 
+    @pytest.mark.parametrize("sigma", ["1e155", "1e-160", "1e-200"])
+    def test_sigma_outside_domain_exit_1(self, tmp_path, cloud_file, capsys, sigma):
+        code = run(["compare", "--ref", f"delta:{cloud_file}",
+                    "--approx", f"gaussian:{cloud_file}", "--sigmas", sigma,
+                    "--probes", "4", "--out", str(tmp_path / "table.csv")])
+        assert code == 1
+        assert str(float(sigma)) in capsys.readouterr().err
+
     def test_missing_required_option_exit_1(self, tmp_path):
         assert run(["fit-gmm", "--k", "1", "--out", str(tmp_path / "m.json")]) == 1

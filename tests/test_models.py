@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,19 @@ class TestGaussianScore:
             np.testing.assert_array_equal(
                 gaussian_score(spec, x, sigma), iso_score(spec.mean, x, sigma)
             )
+
+    def test_small_sigma_accuracy_against_dense_solve(self):
+        # The score is derived from the denoiser as (D - x) / sigma^2; that
+        # cancellation and the conditioning of sigma^2 I + Sigma bound the
+        # error by about eps * (1 + lam_max / sigma^2).
+        spec = random_spectrum(61, 8, 3)
+        x = spec.mean + np.random.default_rng(61).standard_normal((4, 8))
+        lam_max = spec.eigenvalues.max()
+        for sigma in (1e-4, 1e-3, 1e-2, 0.1, 1.0):
+            cov = sigma**2 * np.eye(8) + spec.covariance()
+            dense = np.linalg.solve(cov, (spec.mean - x).T).T
+            err = np.linalg.norm(gaussian_score(spec, x, sigma) - dense) / np.linalg.norm(dense)
+            assert err <= 1e-15 * (1.0 + lam_max / sigma**2)
 
 
 class TestGaussianDenoise:
@@ -340,11 +355,14 @@ class TestBatchEvaluation:
     def test_batch_weights_match_single(self):
         rng = np.random.default_rng(44)
         cloud = PointCloud(rng.standard_normal((10, 4)))
-        model = DeltaMixtureModel(cloud)
+        comps = tuple(
+            GaussianComponent(w, random_spectrum(s, 4, 2)) for w, s in ((0.4, 45), (0.6, 46))
+        )
         x = rng.standard_normal((300, 4))  # spans multiple chunks
-        w = mixture_weights(model, x, 0.7)
-        for i in (0, 128, 255, 299):
-            np.testing.assert_array_equal(w[i], mixture_weights(model, x[i], 0.7))
+        for model in (DeltaMixtureModel(cloud), MixtureModel(comps)):
+            w = mixture_weights(model, x, 0.7)
+            for i in (0, 128, 255, 299):
+                np.testing.assert_array_equal(w[i], mixture_weights(model, x[i], 0.7))
 
 
 class TestValidation:
@@ -355,6 +373,14 @@ class TestValidation:
         )
         with pytest.raises(Exception):
             MixtureModel(comps)
+
+    @pytest.mark.parametrize("sigma", [1e155, 1e-160, 1e-200])
+    def test_sigma_outside_domain_rejected_everywhere(self, sigma):
+        # sigma^2 overflows above ~1.3e154 and is subnormal or zero below ~1.5e-154
+        for model in all_models():
+            for method in (model.score, model.denoise):
+                with pytest.raises(InvalidNoise, match=re.escape(str(sigma))):
+                    method(np.zeros(model.dim), sigma)
 
     def test_sigma_zero_rejected_everywhere(self):
         for model in all_models():
