@@ -57,12 +57,20 @@ def _write_sidecar(out_path: str, command: str, params: dict) -> None:
         json.dump(meta, f, indent=2, sort_keys=True)
 
 
-def _load_model_spec(spec: str):
+def _read_cloud(clouds: dict, path: str):
+    """Load a point-cloud file once per command: ``clouds`` maps path to
+    cloud and lives for one invocation only."""
+    if path not in clouds:
+        clouds[path] = load_cloud(path)
+    return clouds[path]
+
+
+def _load_model_spec(spec: str, clouds: dict):
     """Model references: a JSON path, or 'gaussian:<cloud>', 'delta:<cloud>',
-    'iso:<cloud>' built from a point-cloud file."""
+    'iso:<cloud>' built from a point-cloud file read through ``clouds``."""
     if ":" in spec and spec.split(":", 1)[0] in ("gaussian", "delta", "iso"):
         kind, path = spec.split(":", 1)
-        cloud = load_cloud(path)
+        cloud = _read_cloud(clouds, path)
         if kind == "gaussian":
             return GaussianModel(spectrum_from_cloud(cloud))
         if kind == "delta":
@@ -170,7 +178,7 @@ def cmd_sample(args) -> None:
     _merge_config(args, {"sampler": "heun", "grid": "0.002:80:7:18", "n": 1,
                          "seed": 0, "steps": 200, "schedule": "vp:0.1:20:1"})
     _require(args, "model", "out")
-    model = _load_model_spec(args.model)
+    model = _load_model_spec(args.model, {})
     os.makedirs(args.out, exist_ok=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.n)
     with ThreadPoolExecutor(max_workers=_worker_count(args.n)) as pool:
@@ -189,8 +197,9 @@ def cmd_teleport(args) -> None:
     _merge_config(args, {"grid": "0.002:80:7:18", "skip_mode": "grid-aligned",
                          "n": 1, "seed": 0})
     _require(args, "model", "cloud", "skip", "out")
-    model = _load_model_spec(args.model)
-    cloud = load_cloud(args.cloud)
+    clouds = {}
+    model = _load_model_spec(args.model, clouds)
+    cloud = _read_cloud(clouds, args.cloud)
     spec = spectrum_from_cloud(cloud)
     grid = parse_grid_spec(args.grid)
     os.makedirs(args.out, exist_ok=True)
@@ -216,10 +225,11 @@ def cmd_teleport(args) -> None:
 def cmd_compare(args) -> None:
     _merge_config(args, {"probes": 256, "seed": 0, "probe_dist": "gaussian"})
     _require(args, "ref", "approx", "sigmas", "out")
-    ref = _load_model_spec(args.ref)
-    approx = _load_model_spec(args.approx)
+    clouds = {}
+    ref = _load_model_spec(args.ref, clouds)
+    approx = _load_model_spec(args.approx, clouds)
     sigmas = _parse_floats(args.sigmas)
-    cloud = load_cloud(args.cloud) if getattr(args, "cloud", None) else None
+    cloud = _read_cloud(clouds, args.cloud) if getattr(args, "cloud", None) else None
     seeds = np.random.SeedSequence(args.seed).spawn(len(sigmas))
     rows = []
     for s, seed in zip(sigmas, seeds):
@@ -242,11 +252,12 @@ def cmd_sweep(args) -> None:
     _merge_config(args, {"probes": 256, "seed": 0, "reference": "delta",
                          "batch": 2048, "max_iter": 100})
     _require(args, "cloud", "k_list", "rank_list", "sigmas", "out")
-    cloud = load_cloud(args.cloud)
+    clouds = {}
+    cloud = _read_cloud(clouds, args.cloud)
     if args.reference == "delta":
         reference = DeltaMixtureModel(cloud)
     else:
-        reference = _load_model_spec(args.reference)
+        reference = _load_model_spec(args.reference, clouds)
     table = rank_mode_sweep(
         cloud,
         _parse_ints(args.k_list),
@@ -270,7 +281,8 @@ def cmd_sweep(args) -> None:
 def cmd_slice(args) -> None:
     _merge_config(args, {"grid_n": 40, "extent": None})
     _require(args, "models", "anchors", "sigma", "out")
-    models = [_load_model_spec(m) for m in args.models.split(",")]
+    clouds = {}
+    models = [_load_model_spec(m, clouds) for m in args.models.split(",")]
     anchors = np.loadtxt(args.anchors, delimiter=",", ndmin=2)
     field = _slice_field(models, anchors, float(args.sigma), args.grid_n,
                          None if args.extent is None else float(args.extent))

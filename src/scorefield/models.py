@@ -12,8 +12,13 @@ must satisfy ``1.49e-154 <= sigma <= 1.34e154`` (``sigma^2`` a normal double).
 
 Mixture weights are always computed in log space with max subtraction; the
 softmax of Gaussian log-densities otherwise underflows catastrophically at
-small sigma. Gaussian log-densities never touch a D x D matrix: with the
-compact spectrum ``Sigma = U diag(lam) U^T``,
+small sigma. The delta mixture streams over its training points in fixed-size
+blocks, so a batch of M rows needs O(M N) memory, never an (M, N, D) tensor;
+a row whose every delta logit underflows to -inf gets one-hot weights on its
+nearest training point, split evenly on exact ties.
+
+Gaussian log-densities never touch a D x D matrix: with the compact spectrum
+``Sigma = U diag(lam) U^T``,
 
     log det(sigma^2 I + Sigma) = (D - r) log sigma^2 + sum_k log(lam_k + sigma^2)
     (x-mu)^T (sigma^2 I + Sigma)^-1 (x-mu)
@@ -66,6 +71,10 @@ __all__ = [
 # Row chunk for batched mixture evaluations; bounds the (chunk, K, D) buffer
 # without changing per-row results.
 _CHUNK = 256
+
+# Element budget of the delta kernel's (rows, block, D) difference buffer
+# (512 KiB); the block of training points is sized to fit it.
+_BLOCK = 1 << 16
 
 # Exactly the noise levels whose square is a normal, finite double.
 _SIGMA_MIN = float(np.sqrt(np.finfo(np.float64).tiny))  # 1.49e-154
@@ -328,9 +337,27 @@ class DeltaMixtureModel(_PosteriorMixture):
     def _log_weights(self, xb, sigma):
         # -|x - y_i|^2 / (2 sigma^2), computed from explicit differences: the
         # expanded |x|^2 - 2 x.y + |y|^2 form cancels catastrophically when the
-        # softmax gaps matter most.
-        diff = xb[:, None, :] - self.cloud.data[None, :, :]
-        return -np.einsum("mnd,mnd->mn", diff, diff) / (2.0 * sigma**2)
+        # softmax gaps matter most. The training points stream through in
+        # blocks of at most _BLOCK difference elements, so memory is O(rows N)
+        # and every |x - y_i|^2 is the same reduction over D as on the whole
+        # (rows, N, D) tensor, bit for bit.
+        y = self.cloud.data
+        step = max(1, _BLOCK // (xb.shape[0] * y.shape[1]))
+        d2 = np.empty((xb.shape[0], y.shape[0]))
+        for lo in range(0, y.shape[0], step):
+            diff = xb[:, None, :] - y[None, lo : lo + step, :]
+            d2[:, lo : lo + step] = np.einsum("mnd,mnd->mn", diff, diff)
+        with np.errstate(over="ignore"):
+            logits = -d2 / (2.0 * sigma**2)
+            # Far from the cloud at tiny sigma every logit of a row can
+            # overflow to -inf, and the softmax would give 0/0. Measured from
+            # the nearest point, the row keeps its limit: one-hot weights,
+            # split evenly on exact ties.
+            lost = logits.max(axis=1) == -np.inf
+            if lost.any():
+                near = d2[lost] - d2[lost].min(axis=1, keepdims=True)
+                logits[lost] = -near / (2.0 * sigma**2)
+        return logits
 
     def _combine(self, w, xb, sigma):
         return np.einsum("mn,nd->md", w, self.cloud.data)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import scorefield.cli as cli
 from scorefield.cli import run
 from scorefield.samplers import load_trajectory_csv
 from scorefield.spectrum import load_cloud
@@ -138,6 +139,37 @@ class TestCompare:
         assert len(lines) == 4
         meta = json.loads((tmp_path / "table.csv.meta.json").read_text())
         assert meta["params"]["sigmas"] == [0.5, 2.0, 8.0]
+
+
+class TestCloudReads:
+    @pytest.mark.parametrize("command", ["compare", "teleport", "sweep", "slice"])
+    def test_each_cloud_file_read_once_per_command(self, tmp_path, cloud_file,
+                                                   monkeypatch, command):
+        reads = []
+
+        def counting_load(path, *args, **kwargs):
+            reads.append(path)
+            return load_cloud(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_cloud", counting_load)
+        anchors = tmp_path / "anchors.csv"
+        np.savetxt(anchors, np.eye(3, 4), delimiter=",")
+        c = str(cloud_file)
+        argv = {
+            "compare": ["--ref", f"delta:{c}", "--approx", f"gaussian:{c}",
+                        "--sigmas", "1.0", "--probes", "8", "--probe-dist",
+                        "noised-cloud", "--cloud", c],
+            "teleport": ["--model", f"delta:{c}", "--cloud", c, "--skip", "2.5",
+                         "--skip-mode", "regrid", "--grid", "0.01:10:7:6"],
+            "sweep": ["--cloud", c, "--reference", f"gaussian:{c}", "--k-list", "1",
+                      "--rank-list", "0", "--sigmas", "1.0", "--probes", "8"],
+            "slice": ["--models", f"gaussian:{c},delta:{c},iso:{c}",
+                      "--anchors", str(anchors), "--sigma", "0.5", "--grid-n", "4"],
+        }[command]
+        for i in range(2):
+            assert run([command, *argv, "--out", str(tmp_path / f"out{i}")]) == 0
+            # one read per invocation: nothing is kept between commands
+            assert reads == [c] * (i + 1)
 
 
 class TestSweep:

@@ -1,10 +1,13 @@
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from scorefield.errors import InvalidNoise, WrongVariant
 from scorefield.models import (
+    _BLOCK,
     DeltaMixtureModel,
     GaussianComponent,
     GaussianModel,
@@ -251,6 +254,48 @@ class TestDeltaDenoise:
             out = delta_denoise(cloud, rng.standard_normal(3) * 3, sigma)
             assert np.all(out >= cloud.data.min(axis=0) - 1e-12)
             assert np.all(out <= cloud.data.max(axis=0) + 1e-12)
+
+    def test_all_logits_underflow_snaps_to_nearest(self):
+        # At x = 1e5, sigma = 1e-150 every -|x - y_i|^2 / (2 sigma^2) is -inf.
+        cloud = PointCloud([[0.0], [1.0]])
+        x = np.array([[1e5], [-1e5], [0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = delta_denoise(cloud, x, 1e-150)
+            np.testing.assert_array_equal(out, [[1.0], [0.0], [0.0]])
+            for i in range(x.shape[0]):
+                np.testing.assert_array_equal(out[i], delta_denoise(cloud, x[i], 1e-150))
+            tied = DeltaMixtureModel(PointCloud([[-1.0, 0.0], [1.0, 0.0], [0.0, 3.0]]))
+            np.testing.assert_array_equal(
+                tied.posterior_weights([0.0, -1e5], 1e-150), [0.5, 0.5, 0.0]
+            )
+
+
+class TestDeltaStreaming:
+    @pytest.mark.parametrize("rows, dim", [(1, 7), (300, 7), (2, 40000)])
+    def test_log_weights_match_full_difference_tensor_bitwise(self, rows, dim):
+        step = max(1, _BLOCK // (rows * dim))
+        n = 3 * step + 1  # three full blocks of training points and a partial one
+        rng = np.random.default_rng(rows + dim)
+        cloud = PointCloud(rng.standard_normal((n, dim)))
+        x = rng.standard_normal((rows, dim))
+        sigma = 0.7
+        diff = x[:, None, :] - cloud.data[None, :, :]
+        full = -np.einsum("mnd,mnd->mn", diff, diff) / (2.0 * sigma**2)
+        np.testing.assert_array_equal(DeltaMixtureModel(cloud)._log_weights(x, sigma), full)
+
+    def test_denoise_peak_memory_is_bounded(self):
+        # The whole (256, 4000, 64) difference tensor alone would take 500 MiB.
+        rng = np.random.default_rng(61)
+        model = DeltaMixtureModel(PointCloud(rng.standard_normal((4000, 64))))
+        x = rng.standard_normal((256, 64))
+        tracemalloc.start()
+        try:
+            model.denoise(x, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 def all_models(seed=17, d=5):
