@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_hermite
 
-from .errors import DegeneratePlane, GridMismatch, InvalidInput, InvalidNoise
+from .errors import DegeneratePlane, GridMismatch, InvalidInput, InvalidNoise, NumericalBlowup
 from .models import ScoreModel
 from .samplers import Trajectory
 from .schedules import NoiseSchedule
@@ -65,25 +65,25 @@ def draw_probes(dim: int, sigma: float, n_probe: int, rng, probe_dist: str = "ga
     raise InvalidInput(f"unknown probe_dist {probe_dist!r}")
 
 
-def unexplained_variance(
-    ref: ScoreModel,
-    approx: ScoreModel,
-    sigma: float,
-    n_probe: int,
-    seed=0,
-    probe_dist: str = "gaussian",
-    cloud: PointCloud | None = None,
-) -> UnexplainedVarianceStats:
-    """Fraction of unexplained variance of ``approx`` against ``ref`` at one
-    noise scale, with mean and 25/75% quantiles over probes."""
+def probe_points(dim: int, sigma: float, n_probe: int, seed=0, probe_dist: str = "gaussian",
+                 cloud: PointCloud | None = None) -> np.ndarray:
+    """Validated probe set of ``unexplained_variance``: ``n_probe`` points
+    drawn by ``draw_probes`` from a generator seeded with ``seed``."""
     if sigma <= 0:
         raise InvalidNoise(f"sigma must be positive, got {sigma}")
     if n_probe < 1:
         raise InvalidInput(f"n_probe must be >= 1, got {n_probe}")
-    rng = np.random.default_rng(seed)
-    x = draw_probes(ref.dim, sigma, n_probe, rng, probe_dist, cloud)
-    s_ref = ref.score(x, sigma)
-    s_app = approx.score(x, sigma)
+    return draw_probes(dim, sigma, n_probe, np.random.default_rng(seed), probe_dist, cloud)
+
+
+def ratio_stats(s_ref: np.ndarray, s_app: np.ndarray, sigma: float) -> UnexplainedVarianceStats:
+    """Unexplained-variance statistics of approximate scores ``s_app``
+    against reference scores ``s_ref`` on the same probes at noise ``sigma``.
+
+    Raises NumericalBlowup naming ``sigma`` if any score is non-finite.
+    """
+    if not (np.all(np.isfinite(s_ref)) and np.all(np.isfinite(s_app))):
+        raise NumericalBlowup(f"non-finite score at sigma={sigma:g}")
     num = np.einsum("md,md->m", s_ref - s_app, s_ref - s_app)
     den = np.einsum("md,md->m", s_ref, s_ref)
     ok = den > 0
@@ -99,6 +99,21 @@ def unexplained_variance(
         n_excluded=int(np.count_nonzero(~ok)),
         values=values,
     )
+
+
+def unexplained_variance(
+    ref: ScoreModel,
+    approx: ScoreModel,
+    sigma: float,
+    n_probe: int,
+    seed=0,
+    probe_dist: str = "gaussian",
+    cloud: PointCloud | None = None,
+) -> UnexplainedVarianceStats:
+    """Fraction of unexplained variance of ``approx`` against ``ref`` at one
+    noise scale, with mean and 25/75% quantiles over probes."""
+    x = probe_points(ref.dim, sigma, n_probe, seed, probe_dist, cloud)
+    return ratio_stats(ref.score(x, sigma), approx.score(x, sigma), sigma)
 
 
 def _matching_levels(a: Trajectory, b: Trajectory) -> None:

@@ -54,7 +54,7 @@ class UnsupportedFramework(ScoreFieldError):
 
 
 class NumericalBlowup(ScoreFieldError):
-    """A sampler produced a non-finite state."""
+    """A sampler or a score comparison produced a non-finite value."""
 
     def __init__(self, message, step=None):
         super().__init__(message)

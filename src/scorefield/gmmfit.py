@@ -40,8 +40,13 @@ class KMeansResult:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    # One center at a time: an (N, D) temporary instead of the (N, K, D)
+    # tensor, with the same reduction over D for every entry.
+    out = np.empty((points.shape[0], centers.shape[0]))
+    for c in range(centers.shape[0]):
+        diff = points - centers[c]
+        out[:, c] = np.einsum("nd,nd->n", diff, diff)
+    return out
 
 
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -72,7 +77,13 @@ def minibatch_kmeans_full(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = CENTER_SHIFT_TOL,
 ) -> KMeansResult:
-    """Mini-batch k-means (Sculley-style per-center learning rates).
+    """Mini-batch k-means (Sculley 2010, "Web-scale k-means clustering").
+
+    Sculley's per-point step ``c += (x - c) / count`` with per-center counts
+    makes each center the running mean of every point it was ever assigned.
+    A center with ``m`` new members in a mini-batch therefore moves in one
+    step to ``(count c + sum x) / (count + m)``, which is the per-point loop
+    in exact arithmetic; the members are summed in mini-batch order.
 
     Deterministic given the seed. After the mini-batch passes, every sample
     is assigned to its nearest center (ties to the lowest cluster index) and
@@ -97,11 +108,12 @@ def minibatch_kmeans_full(
         mb = data[sample]
         assign = np.argmin(_sq_dists(mb, centers), axis=1)
         previous = centers.copy()
-        for j in range(take):
-            c = assign[j]
-            counts[c] += 1.0
-            eta = 1.0 / counts[c]
-            centers[c] += eta * (mb[j] - centers[c])
+        order = np.argsort(assign, kind="stable")
+        hit, starts, m = np.unique(assign[order], return_index=True, return_counts=True)
+        sums = np.add.reduceat(mb[order], starts, axis=0)
+        total = counts[hit] + m
+        centers[hit] = (counts[hit, None] * centers[hit] + sums) / total[:, None]
+        counts[hit] = total
         shift = np.max(np.einsum("kd,kd->k", centers - previous, centers - previous))
         if shift < tol**2:
             break
@@ -224,9 +236,12 @@ def rank_mode_sweep(
 
     Fits once per (K, rank); probes are drawn from N(0, sigma^2 I) with a
     per-sigma seed, so every (K, rank) cell at the same sigma sees identical
-    probes. Emits one long-format row per (K, rank, sigma).
+    probes. The probes and the reference score are computed once per sigma,
+    before any fit; each cell scores only its fitted mixture. Every row
+    equals ``unexplained_variance(reference, model, sigma, n_probe,
+    seed=<sigma's seed>)``. Emits one long-format row per (K, rank, sigma).
     """
-    from .analysis import unexplained_variance
+    from .analysis import probe_points, ratio_stats
 
     k_list = list(k_list)
     rank_list = list(rank_list)
@@ -235,15 +250,16 @@ def rank_mode_sweep(
         raise InvalidInput("k_list, rank_list and sigma_list must be nonempty")
 
     probe_seeds = np.random.SeedSequence(seed).spawn(len(sigma_list))
+    probes = [probe_points(reference.dim, sigma, n_probe, seed=probe_seeds[j])
+              for j, sigma in enumerate(sigma_list)]
+    ref_scores = [reference.score(x, sigma) for x, sigma in zip(probes, sigma_list)]
     rows = []
     for k in k_list:
         km = minibatch_kmeans_full(cloud, k, batch, seed, max_iter)
         for rank in rank_list:
             model = gmm_from_assignments(cloud, km.assignments, rank)
-            for j, sigma in enumerate(sigma_list):
-                stats = unexplained_variance(
-                    reference, model, sigma, n_probe, seed=probe_seeds[j]
-                )
+            for sigma, x, s_ref in zip(sigma_list, probes, ref_scores):
+                stats = ratio_stats(s_ref, model.score(x, sigma), sigma)
                 rows.append(
                     {
                         "k": int(k),

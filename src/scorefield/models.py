@@ -13,9 +13,10 @@ must satisfy ``1.49e-154 <= sigma <= 1.34e154`` (``sigma^2`` a normal double).
 Mixture weights are always computed in log space with max subtraction; the
 softmax of Gaussian log-densities otherwise underflows catastrophically at
 small sigma. The delta mixture streams over its training points in fixed-size
-blocks, so a batch of M rows needs O(M N) memory, never an (M, N, D) tensor;
-a row whose every delta logit underflows to -inf gets one-hot weights on its
-nearest training point, split evenly on exact ties.
+blocks, so a batch of M rows needs O(M N) memory, never an (M, N, D) tensor.
+A row whose every logit underflows to -inf keeps its limit: delta weights go
+one-hot on the nearest training point, split evenly on exact ties, and
+mixture logits are retaken relative to the row's smallest quadratic form.
 
 Gaussian log-densities never touch a D x D matrix: with the compact spectrum
 ``Sigma = U diag(lam) U^T``,
@@ -142,8 +143,9 @@ def _gaussian_denoise(spec: CompactSpectrum, xb: np.ndarray, sigma: float) -> np
     return out
 
 
-def _gaussian_log_density(spec: CompactSpectrum, xb: np.ndarray, sigma: float) -> np.ndarray:
-    """log N(x; mean, sigma^2 I + Sigma) per row, via the spectral identities."""
+def _gaussian_quad_logdet(spec: CompactSpectrum, xb: np.ndarray, sigma: float):
+    """Per-row ``sigma^2 (x-mu)^T (sigma^2 I + Sigma)^-1 (x-mu)`` and the
+    scalar ``log det(sigma^2 I + Sigma)``, via the spectral identities."""
     d = spec.dim
     diff = xb - spec.mean
     quad = _sq_norm_rows(diff)
@@ -155,7 +157,7 @@ def _gaussian_log_density(spec: CompactSpectrum, xb: np.ndarray, sigma: float) -
         logdet = (d - spec.rank) * 2.0 * np.log(sigma) + np.sum(
             np.log(spec.eigenvalues + sigma**2)
         )
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad / sigma**2)
+    return quad, logdet
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +299,25 @@ class MixtureModel(_PosteriorMixture):
 
     def _log_weights(self, xb, sigma):
         # log pi_i + log N(x; mu_i, sigma^2 I + Sigma_i)
-        return np.column_stack([
-            np.log(c.weight) + _gaussian_log_density(c.spectrum, xb, sigma)
-            for c in self.components
-        ])
+        log_pi = [np.log(c.weight) for c in self.components]
+        terms = [_gaussian_quad_logdet(c.spectrum, xb, sigma) for c in self.components]
+        const = self.dim * np.log(2.0 * np.pi)
+        with np.errstate(over="ignore"):
+            logits = np.column_stack([
+                lp - 0.5 * (const + ld + q / sigma**2)
+                for lp, (q, ld) in zip(log_pi, terms)
+            ])
+            # Far from every mean at tiny sigma all logits of a row can
+            # overflow to -inf, and the softmax would give 0/0. Dropping the
+            # terms shared by every component of the row (the constant and
+            # the row's smallest quadratic form) keeps its limit.
+            lost = logits.max(axis=1) == -np.inf
+            if lost.any():
+                quad = np.column_stack([q[lost] for q, _ in terms])
+                logdet = np.array([ld for _, ld in terms])
+                near = quad - quad.min(axis=1, keepdims=True)
+                logits[lost] = np.array(log_pi) - 0.5 * (logdet + near / sigma**2)
+        return logits
 
     def _combine(self, w, xb, sigma):
         out = np.zeros_like(xb)

@@ -240,5 +240,24 @@ class TestErrors:
         assert code == 1
         assert str(float(sigma)) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_non_finite_score_exit_1(self, tmp_path, capsys, command):
+        # At sigma = 1e154, |x - y|^2 overflows for probes x ~ sigma z, and the
+        # delta reference score turns NaN; the run must fail, naming sigma.
+        cloud = tmp_path / "cloud.bin"
+        assert run(["gen-synthetic", "--kind", "gaussian", "--d", "4", "--n", "50",
+                    "--seed", "0", "--out", str(cloud)]) == 0
+        argv = {
+            "compare": ["--ref", f"delta:{cloud}", "--approx", f"gaussian:{cloud}"],
+            "sweep": ["--cloud", str(cloud), "--k-list", "1", "--rank-list", "0"],
+        }[command]
+        out = tmp_path / "table.csv"
+        with pytest.warns(RuntimeWarning):
+            code = run([command, *argv, "--sigmas", "1e154", "--probes", "8",
+                        "--out", str(out)])
+        assert code == 1
+        assert "non-finite score at sigma=1e+154" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_option_exit_1(self, tmp_path):
         assert run(["fit-gmm", "--k", "1", "--out", str(tmp_path / "m.json")]) == 1

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from scorefield.errors import InvalidK
+from scorefield.analysis import unexplained_variance
+from scorefield.errors import InvalidInput, InvalidK, InvalidNoise
 from scorefield.gmmfit import (
+    _kmeans_pp_init,
+    _sq_dists,
     fit_gmm,
     gmm_from_assignments,
     minibatch_kmeans,
@@ -12,7 +15,12 @@ from scorefield.gmmfit import (
 )
 from scorefield.models import DeltaMixtureModel, GaussianModel, delta_score, gaussian_score, gmm_score
 from scorefield.spectrum import PointCloud, estimate_moments, spectrum_from_cloud
-from scorefield.synthetic import anchored_five_cluster_cloud, gmm_cloud, two_cluster_cloud
+from scorefield.synthetic import (
+    anchored_five_cluster_cloud,
+    gaussian_cloud,
+    gmm_cloud,
+    two_cluster_cloud,
+)
 
 
 class TestMinibatchKmeans:
@@ -66,6 +74,74 @@ class TestMinibatchKmeans:
         # K=5 on two tight blobs forces empty-cluster repair
         assign = minibatch_kmeans(cloud, 5, seed=0)
         assert np.all(np.bincount(assign, minlength=5) >= 1)
+
+
+def sequential_kmeans(cloud, k, batch, seed, max_iter, tol=1e-6):
+    """Mini-batch k-means with Sculley's per-point center steps, one sample
+    at a time, and full-tensor distances: the loop the batched step replaces."""
+    def sq_dists(points, centers):
+        diff = points[:, None, :] - centers[None, :, :]
+        return np.einsum("nkd,nkd->nk", diff, diff)
+
+    data = cloud.data
+    n = data.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = _kmeans_pp_init(data, k, rng)
+    counts = np.zeros(k)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        mb = data[rng.choice(n, size=min(batch, n), replace=False)]
+        assign = np.argmin(sq_dists(mb, centers), axis=1)
+        previous = centers.copy()
+        for j in range(mb.shape[0]):
+            c = assign[j]
+            counts[c] += 1.0
+            centers[c] += (mb[j] - centers[c]) / counts[c]
+        if np.max(np.einsum("kd,kd->k", centers - previous, centers - previous)) < tol**2:
+            break
+    assignments = np.argmin(sq_dists(data, centers), axis=1)
+    sizes = np.bincount(assignments, minlength=k)
+    while np.any(sizes == 0):
+        empty, donor = int(np.argmin(sizes)), int(np.argmax(sizes))
+        members = np.nonzero(assignments == donor)[0]
+        d = np.einsum("nd,nd->n", data[members] - centers[donor], data[members] - centers[donor])
+        far = members[int(np.argmax(d))]
+        assignments[far] = empty
+        centers[empty] = data[far]
+        sizes[empty] += 1
+        sizes[donor] -= 1
+    return assignments, centers, iterations
+
+
+class TestBatchedKmeansStep:
+    CLOUDS = {
+        "gaussian": lambda: gaussian_cloud(600, 8, seed=1),
+        "gmm": lambda: gmm_cloud(600, 8, k=4, seed=2),
+        "five": lambda: anchored_five_cluster_cloud(500, 16, seed=3),
+        "two-tight": lambda: two_cluster_cloud(40, 2, seed=2, separation=30.0, spread=0.05),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_matches_sequential_per_point_steps(self, name, seed):
+        cloud = self.CLOUDS[name]()
+        for k in (1, 2, 4, 8, 16):
+            for batch, max_iter in ((128, 30), (2048, 5)):
+                res = minibatch_kmeans_full(cloud, k, batch, seed, max_iter)
+                assign, centers, iterations = sequential_kmeans(cloud, k, batch, seed, max_iter)
+                np.testing.assert_array_equal(res.assignments, assign)
+                assert res.iterations == iterations
+                np.testing.assert_allclose(res.centers, centers, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, k, d", [(2048, 8, 64), (4000, 4, 16), (1237, 7, 33), (1, 3, 5)])
+    def test_per_center_distances_match_full_tensor_bitwise(self, n, k, d):
+        rng = np.random.default_rng(n + k + d)
+        points = rng.standard_normal((n, d))
+        centers = rng.standard_normal((k, d))
+        diff = points[:, None, :] - centers[None, :, :]
+        np.testing.assert_array_equal(
+            _sq_dists(points, centers), np.einsum("nkd,nkd->nk", diff, diff)
+        )
 
 
 class TestFitGmm:
@@ -166,3 +242,45 @@ class TestRankModeSweep:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("k,rank,sigma")
         assert len(lines) == 1 + 4
+
+    def test_reference_scored_once_per_sigma(self):
+        calls = []
+
+        class CountingDelta(DeltaMixtureModel):
+            def score(self, x, sigma):
+                calls.append(float(sigma))
+                return super().score(x, sigma)
+
+        cloud = anchored_five_cluster_cloud(200, 6, seed=8)
+        ref = CountingDelta(cloud)
+        k_list, rank_list, sigmas = [1, 3], [1, None], [0.3, 1.0, 4.0]
+        table = rank_mode_sweep(cloud, k_list, rank_list, sigmas, ref, n_probe=24, seed=9)
+        assert calls == sigmas
+
+        probe_seeds = np.random.SeedSequence(9).spawn(len(sigmas))
+        rows = iter(table.rows)
+        for k in k_list:
+            assign = minibatch_kmeans(cloud, k, seed=9)
+            for rank in rank_list:
+                model = gmm_from_assignments(cloud, assign, rank)
+                for j, sigma in enumerate(sigmas):
+                    st = unexplained_variance(ref, model, sigma, 24, seed=probe_seeds[j])
+                    row = next(rows)
+                    assert (row["k"], row["rank"], row["sigma"]) == (k, rank, sigma)
+                    assert row["mean_uv"] == st.mean
+                    assert row["q25"] == st.q25
+                    assert row["q75"] == st.q75
+                    assert row["ratio_of_sums"] == st.ratio_of_sums
+                    assert row["n_excluded"] == st.n_excluded
+        assert next(rows, None) is None
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_nonpositive_sigma_rejected(self, sigma):
+        cloud = PointCloud(np.random.default_rng(5).standard_normal((20, 3)))
+        with pytest.raises(InvalidNoise):
+            rank_mode_sweep(cloud, [1], [0], [1.0, sigma], DeltaMixtureModel(cloud), n_probe=4)
+
+    def test_no_probes_rejected(self):
+        cloud = PointCloud(np.random.default_rng(5).standard_normal((20, 3)))
+        with pytest.raises(InvalidInput):
+            rank_mode_sweep(cloud, [1], [0], [1.0], DeltaMixtureModel(cloud), n_probe=0)

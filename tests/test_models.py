@@ -211,6 +211,37 @@ class TestGmmScore:
             atol=1e-10,
         )
 
+    def test_all_logits_underflow_keeps_limit(self):
+        # At x = 1e5, sigma = 1e-150 every Gaussian log-density of the row is
+        # -inf; the nearer mean must take all the weight.
+        model = MixtureModel((
+            GaussianComponent(0.5, zero_cov_spectrum([0.0])),
+            GaussianComponent(0.5, zero_cov_spectrum([1.0])),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            np.testing.assert_array_equal(model.denoise([1e5], 1e-150), [1.0])
+            x = np.array([[1e5], [-1e5], [0.3], [0.5]])
+            out = model.denoise(x, 1e-150)
+            np.testing.assert_array_equal(out, [[1.0], [0.0], [0.0], [0.5]])
+            for i in range(x.shape[0]):
+                np.testing.assert_array_equal(out[i], model.denoise(x[i], 1e-150))
+
+    def test_rows_with_finite_logits_unchanged_beside_lost_rows(self):
+        model = MixtureModel((
+            GaussianComponent(0.3, random_spectrum(51, 3, 2)),
+            GaussianComponent(0.7, random_spectrum(52, 3, 1)),
+        ))
+        # At sigma = 1e-150 the rows at 1e5 lose every logit to -inf; the
+        # rows near the means keep finite logits, which must not move.
+        x = np.random.default_rng(8).standard_normal((5, 3))
+        far = np.full((2, 3), 1e5)
+        alone = model._log_weights(x, 1e-150)
+        mixed = model._log_weights(np.vstack([x, far]), 1e-150)
+        assert np.all(np.isfinite(alone))
+        np.testing.assert_array_equal(mixed[:5], alone)
+        assert np.all(np.isfinite(mixed[5:].max(axis=1)))
+
 
 class TestDeltaScore:
     def test_single_point(self):
