@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .analysis import slice_field as _slice_field
 from .analysis import analytical_curves, bimodal_error_curve, unexplained_variance
-from .errors import ScoreFieldError
+from .errors import InvalidInput, ScoreFieldError
 from .gmmfit import gmm_from_assignments, minibatch_kmeans_full, rank_mode_sweep
 from .models import (
     DeltaMixtureModel,
@@ -118,6 +118,13 @@ def _require(args, *names):
             raise ScoreFieldError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _require_count(args, name: str) -> None:
+    """A count option, flag or config value alike, must be at least 1."""
+    value = getattr(args, name)
+    if value < 1:
+        raise InvalidInput(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -178,6 +185,7 @@ def cmd_sample(args) -> None:
     _merge_config(args, {"sampler": "heun", "grid": "0.002:80:7:18", "n": 1,
                          "seed": 0, "steps": 200, "schedule": "vp:0.1:20:1"})
     _require(args, "model", "out")
+    _require_count(args, "n")
     model = _load_model_spec(args.model, {})
     os.makedirs(args.out, exist_ok=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.n)
@@ -197,6 +205,7 @@ def cmd_teleport(args) -> None:
     _merge_config(args, {"grid": "0.002:80:7:18", "skip_mode": "grid-aligned",
                          "n": 1, "seed": 0})
     _require(args, "model", "cloud", "skip", "out")
+    _require_count(args, "n")
     clouds = {}
     model = _load_model_spec(args.model, clouds)
     cloud = _read_cloud(clouds, args.cloud)

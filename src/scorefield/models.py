@@ -14,9 +14,14 @@ Mixture weights are always computed in log space with max subtraction; the
 softmax of Gaussian log-densities otherwise underflows catastrophically at
 small sigma. The delta mixture streams over its training points in fixed-size
 blocks, so a batch of M rows needs O(M N) memory, never an (M, N, D) tensor.
-A row whose every logit underflows to -inf keeps its limit: delta weights go
+The Gaussian mixture keeps its components stacked (means, and bases and
+eigenvalues per group of equal rank) and evaluates all K of them at once on
+chunks of ``max(1, _BLOCK // (K D))`` rows, the same element budget. A row
+whose every logit underflows to -inf keeps its limit: delta weights go
 one-hot on the nearest training point, split evenly on exact ties, and
 mixture logits are retaken relative to the row's smallest quadratic form.
+A mixture row whose quadratic form overflows near the top of the sigma
+domain retakes it on ``x/sigma`` and ``mu/sigma``.
 
 Gaussian log-densities never touch a D x D matrix: with the compact spectrum
 ``Sigma = U diag(lam) U^T``,
@@ -69,12 +74,13 @@ __all__ = [
     "load_model",
 ]
 
-# Row chunk for batched mixture evaluations; bounds the (chunk, K, D) buffer
-# without changing per-row results.
+# Row chunk for batched delta-mixture evaluations; bounds the (chunk, N)
+# logits without changing per-row results.
 _CHUNK = 256
 
-# Element budget of the delta kernel's (rows, block, D) difference buffer
-# (512 KiB); the block of training points is sized to fit it.
+# Element budget (512 KiB) of the delta kernel's (rows, block, D) difference
+# buffer, whose block of training points is sized to fit it, and of the
+# Gaussian mixture's stacked (K, rows, D) temporaries, whose chunk of rows is.
 _BLOCK = 1 << 16
 
 # Exactly the noise levels whose square is a normal, finite double.
@@ -99,6 +105,12 @@ def _check_sigma(sigma) -> float:
     return sigma
 
 
+def _stacked(arrays) -> np.ndarray:
+    out = np.ascontiguousarray(np.stack(arrays), dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
 def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -119,10 +131,6 @@ def _lift(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("mr,dr->md", c, basis)
 
 
-def _sq_norm_rows(x: np.ndarray) -> np.ndarray:
-    return np.einsum("md,md->m", x, x)
-
-
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     w = np.exp(shifted)
@@ -141,23 +149,6 @@ def _gaussian_denoise(spec: CompactSpectrum, xb: np.ndarray, sigma: float) -> np
         c = _project(xb - spec.mean, spec.basis)
         out = out + _lift(c * shrink, spec.basis)
     return out
-
-
-def _gaussian_quad_logdet(spec: CompactSpectrum, xb: np.ndarray, sigma: float):
-    """Per-row ``sigma^2 (x-mu)^T (sigma^2 I + Sigma)^-1 (x-mu)`` and the
-    scalar ``log det(sigma^2 I + Sigma)``, via the spectral identities."""
-    d = spec.dim
-    diff = xb - spec.mean
-    quad = _sq_norm_rows(diff)
-    logdet = d * 2.0 * np.log(sigma)
-    if spec.rank:
-        shrink = spec.eigenvalues / (spec.eigenvalues + sigma**2)
-        c = _project(diff, spec.basis)
-        quad = quad - np.einsum("mr,r->m", c**2, shrink)
-        logdet = (d - spec.rank) * 2.0 * np.log(sigma) + np.sum(
-            np.log(spec.eigenvalues + sigma**2)
-        )
-    return quad, logdet
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +235,25 @@ class GaussianComponent:
 class _PosteriorMixture(ScoreModel):
     """A mixture whose denoiser is ``sum_i w_i(x, sigma) D_i(x, sigma)``.
 
-    A variant supplies ``_log_weights`` (unnormalised log posteriors, one
-    column per component) and ``_combine`` (the weighted sum of component
-    denoisers). Rows run in chunks of ``_CHUNK``; the softmax is taken in
-    log space with max subtraction.
+    A variant supplies ``_evaluate`` (unnormalised log posteriors, one column
+    per component, and whatever of their work ``_combine`` can reuse),
+    ``_combine`` (the weighted sum of component denoisers) and
+    ``_chunk_rows`` (how many rows one chunk evaluates at once). The softmax
+    is taken in log space with max subtraction.
     """
 
     n_components: int
+    _chunk_rows: int
 
     def _per_chunk(self, x, sigma, width: int, step):
         sigma = _check_sigma(sigma)
         xb, single = _as_batch(x, self.dim)
         out = np.empty((xb.shape[0], width))
-        for lo in range(0, xb.shape[0], _CHUNK):
-            chunk = xb[lo : lo + _CHUNK]
-            w = _softmax_rows(self._log_weights(chunk, sigma))
-            out[lo : lo + _CHUNK] = step(w, chunk, sigma)
+        rows = self._chunk_rows
+        for lo in range(0, xb.shape[0], rows):
+            chunk = xb[lo : lo + rows]
+            logits, work = self._evaluate(chunk, sigma)
+            out[lo : lo + rows] = step(_softmax_rows(logits), work)
         return out[0] if single else out
 
     def denoise(self, x, sigma):
@@ -267,12 +261,26 @@ class _PosteriorMixture(ScoreModel):
 
     def posterior_weights(self, x, sigma):
         """Posterior component weights w_i(x, sigma), rows summing to 1."""
-        return self._per_chunk(x, sigma, self.n_components, lambda w, xb, sigma: w)
+        return self._per_chunk(x, sigma, self.n_components, lambda w, work: w)
 
 
 @dataclass(frozen=True)
 class MixtureModel(_PosteriorMixture):
-    """Gaussian mixture; weights must sum to 1 within 1e-12."""
+    """Gaussian mixture; weights must sum to 1 within 1e-12.
+
+    ``components`` is the public form. Construction also stacks it into
+    read-only arrays that every evaluation shares: log-weights (K,), means
+    (K, D) and, for each group of components of equal rank r, bases
+    (k, D, r) and eigenvalues (k, r). A chunk of rows evaluates all K
+    components at once on a (K, rows, D) difference array, with each output
+    element the same reduction as a per-component evaluation, bit for bit.
+    A chunk holds ``max(1, _BLOCK // (K D))`` rows, so those temporaries
+    keep the delta kernel's element budget.
+
+    Near the top of the sigma domain, ``|x - mu|^2`` overflows for
+    ``x ~ sigma z``; such rows retake their quadratic forms on ``x/sigma``
+    and ``mu/sigma``, which gives ``quad/sigma^2`` without overflow.
+    """
 
     components: tuple[GaussianComponent, ...]
     variant = "mixture"
@@ -288,6 +296,21 @@ class MixtureModel(_PosteriorMixture):
         if len(dims) != 1:
             raise ShapeError(f"components disagree on dimension: {sorted(dims)}")
         object.__setattr__(self, "components", comps)
+        # Built here, never lazily: models are shared across threads.
+        ranks = np.array([c.spectrum.rank for c in comps])
+        groups = []
+        for r in np.unique(ranks):
+            idx = np.flatnonzero(ranks == r)
+            whole = idx[-1] - idx[0] + 1 == idx.size
+            groups.append((
+                slice(idx[0], idx[-1] + 1) if whole else idx,
+                _stacked([comps[i].spectrum.basis for i in idx]),
+                _stacked([comps[i].spectrum.eigenvalues for i in idx]),
+            ))
+        object.__setattr__(self, "_log_pi", _stacked([np.log(c.weight) for c in comps]))
+        object.__setattr__(self, "_means", _stacked([c.spectrum.mean for c in comps]))
+        object.__setattr__(self, "_groups", tuple(groups))
+        object.__setattr__(self, "_chunk_rows", max(1, _BLOCK // (len(comps) * self.dim)))
 
     @property
     def dim(self) -> int:
@@ -297,33 +320,69 @@ class MixtureModel(_PosteriorMixture):
     def n_components(self) -> int:
         return len(self.components)
 
-    def _log_weights(self, xb, sigma):
+    def _forms(self, xb, means, sigma):
+        """Quadratic forms ``|x - mu_i|^2 - sum_k lam_k/(lam_k + sigma^2) c_k^2``
+        (K, rows), the (K, rows, D) differences, and each rank group's
+        projections ``c = U_i^T (x - mu_i)`` with their shrink factors."""
+        diff = xb[None, :, :] - means[:, None, :]
+        quad = np.einsum("kmd,kmd->km", diff, diff)
+        coords = []
+        for sel, bases, eigs in self._groups:
+            c = shrink = None
+            if eigs.shape[1]:
+                c = np.einsum("kmd,kdr->kmr", diff[sel], bases)
+                shrink = eigs / (eigs + sigma**2)
+                quad[sel] = quad[sel] - np.einsum("kmr,kr->km", c**2, shrink)
+            coords.append((c, shrink))
+        return quad, diff, coords
+
+    def _evaluate(self, xb, sigma):
         # log pi_i + log N(x; mu_i, sigma^2 I + Sigma_i)
-        log_pi = [np.log(c.weight) for c in self.components]
-        terms = [_gaussian_quad_logdet(c.spectrum, xb, sigma) for c in self.components]
-        const = self.dim * np.log(2.0 * np.pi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad, diff, coords = self._forms(xb, self._means, sigma)
+            scaled = quad / sigma**2
+        if not np.isfinite(quad).all():
+            # Near the top of the sigma domain |x - mu|^2 overflows for
+            # x ~ sigma z. Such rows retake their forms on x/sigma and
+            # mu/sigma, which is quad/sigma^2 without the overflow.
+            big = ~np.isfinite(quad).all(axis=0)
+            scaled[:, big] = self._forms(xb[big] / sigma, self._means / sigma, sigma)[0]
+        d = self.dim
+        logdet = np.empty(self.n_components)
+        for sel, _, eigs in self._groups:
+            logdet[sel] = (d - eigs.shape[1]) * 2.0 * np.log(sigma) + np.sum(
+                np.log(eigs + sigma**2), axis=1)
+        const = d * np.log(2.0 * np.pi)
         with np.errstate(over="ignore"):
-            logits = np.column_stack([
-                lp - 0.5 * (const + ld + q / sigma**2)
-                for lp, (q, ld) in zip(log_pi, terms)
-            ])
+            # C-contiguous (rows, K), as a column stack gives: on a transposed
+            # view the softmax's row sums would add in another order.
+            logits = np.ascontiguousarray(
+                (self._log_pi[:, None] - 0.5 * (const + logdet[:, None] + scaled)).T)
             # Far from every mean at tiny sigma all logits of a row can
             # overflow to -inf, and the softmax would give 0/0. Dropping the
             # terms shared by every component of the row (the constant and
             # the row's smallest quadratic form) keeps its limit.
             lost = logits.max(axis=1) == -np.inf
             if lost.any():
-                quad = np.column_stack([q[lost] for q, _ in terms])
-                logdet = np.array([ld for _, ld in terms])
-                near = quad - quad.min(axis=1, keepdims=True)
-                logits[lost] = np.array(log_pi) - 0.5 * (logdet + near / sigma**2)
-        return logits
+                q = quad[:, lost].T
+                near = q - q.min(axis=1, keepdims=True)
+                logits[lost] = self._log_pi - 0.5 * (logdet + near / sigma**2)
+        return logits, (diff, coords)
 
-    def _combine(self, w, xb, sigma):
-        out = np.zeros_like(xb)
-        for i, c in enumerate(self.components):
-            out += w[:, i : i + 1] * _gaussian_denoise(c.spectrum, xb, sigma)
-        return out
+    def _log_weights(self, xb, sigma):
+        return self._evaluate(xb, sigma)[0]
+
+    def _combine(self, w, work):
+        # Component denoisers mu_i + U_i diag(shrink) c, written over the
+        # chunk's differences, which are no longer needed.
+        den, coords = work
+        for (sel, bases, _), (c, shrink) in zip(self._groups, coords):
+            if c is None:
+                den[sel] = self._means[sel, None, :]
+            else:
+                lift = np.einsum("kmr,kdr->kmd", c * shrink[:, None, :], bases)
+                den[sel] = self._means[sel, None, :] + lift
+        return np.einsum("mk,kmd->md", w, den)
 
 
 @dataclass(frozen=True)
@@ -336,6 +395,7 @@ class DeltaMixtureModel(_PosteriorMixture):
 
     cloud: PointCloud
     variant = "delta"
+    _chunk_rows = _CHUNK
 
     def __post_init__(self):
         cloud = self.cloud
@@ -350,6 +410,9 @@ class DeltaMixtureModel(_PosteriorMixture):
     @property
     def n_components(self) -> int:
         return self.cloud.n_samples
+
+    def _evaluate(self, xb, sigma):
+        return self._log_weights(xb, sigma), None
 
     def _log_weights(self, xb, sigma):
         # -|x - y_i|^2 / (2 sigma^2), computed from explicit differences: the
@@ -376,7 +439,7 @@ class DeltaMixtureModel(_PosteriorMixture):
                 logits[lost] = -near / (2.0 * sigma**2)
         return logits
 
-    def _combine(self, w, xb, sigma):
+    def _combine(self, w, work):
         return np.einsum("mn,nd->md", w, self.cloud.data)
 
 

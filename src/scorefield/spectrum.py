@@ -323,9 +323,16 @@ def load_cloud_binary(path) -> PointCloud:
         blob = f.read()
     if blob[: len(_BINARY_MAGIC)] != _BINARY_MAGIC:
         raise InvalidData(f"{path}: bad magic bytes, not a PCLD1 file")
-    offset = len(_BINARY_MAGIC)
-    n, d, has_labels = struct.unpack_from("<IIB", blob, offset)
-    offset += struct.calcsize("<IIB")
+    offset = len(_BINARY_MAGIC) + struct.calcsize("<IIB")
+    if len(blob) < offset:
+        raise InvalidData(f"{path}: {len(blob)} bytes, shorter than the {offset}-byte PCLD1 header")
+    n, d, has_labels = struct.unpack_from("<IIB", blob, len(_BINARY_MAGIC))
+    expected = offset + n * d * 8 + (n * 4 if has_labels else 0)
+    if len(blob) != expected:
+        raise InvalidData(
+            f"{path}: header gives N={n}, D={d}, labels={bool(has_labels)}, which needs "
+            f"{expected} bytes, but the file has {len(blob)}"
+        )
     data = np.frombuffer(blob, dtype="<f8", count=n * d, offset=offset).reshape(n, d)
     offset += n * d * 8
     labels = None

@@ -259,5 +259,20 @@ class TestErrors:
         assert "non-finite score at sigma=1e+154" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sample", "teleport"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_negative_count_exit_1(self, tmp_path, cloud_file, capsys, command, via_config):
+        argv = [command, "--model", f"gaussian:{cloud_file}", "--out", str(tmp_path / "out")]
+        if command == "teleport":
+            argv += ["--cloud", str(cloud_file), "--skip", "2.0"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n": -1}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--n", "-1"]
+        assert run(argv) == 1
+        assert "--n must be >= 1, got -1" in capsys.readouterr().err
+
     def test_missing_required_option_exit_1(self, tmp_path):
         assert run(["fit-gmm", "--k", "1", "--out", str(tmp_path / "m.json")]) == 1

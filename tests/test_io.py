@@ -89,6 +89,18 @@ class TestCloudFiles:
         with pytest.raises(InvalidData):
             load_cloud_binary(path)
 
+    def test_truncated_file_names_path_and_sizes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "cut.bin"
+        save_cloud_binary(PointCloud(rng.standard_normal((20, 3))), path)
+        path.write_bytes(path.read_bytes()[:100])
+        # 14 header bytes + 20 * 3 * 8 data bytes are expected.
+        with pytest.raises(InvalidData, match=r"cut\.bin.*494 bytes.*has 100"):
+            load_cloud_binary(path)
+        path.write_bytes(b"PCLD1\x01")
+        with pytest.raises(InvalidData, match="cut.bin"):
+            load_cloud_binary(path)
+
     def test_extension_dispatch(self, tmp_path):
         cloud = sample_cloud()
         save_cloud(cloud, tmp_path / "c.csv")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scorefield.errors import InvalidNoise, WrongVariant
+from scorefield.gmmfit import fit_gmm
 from scorefield.models import (
     _BLOCK,
     DeltaMixtureModel,
@@ -241,6 +242,126 @@ class TestGmmScore:
         assert np.all(np.isfinite(alone))
         np.testing.assert_array_equal(mixed[:5], alone)
         assert np.all(np.isfinite(mixed[5:].max(axis=1)))
+
+
+def loop_log_weights(model, xb, sigma):
+    """Mixture logits one component at a time: the evaluation that the
+    stacked kernel replaced, kept as its bitwise reference."""
+    d = model.dim
+    const = d * np.log(2.0 * np.pi)
+    columns = []
+    for comp in model.components:
+        spec = comp.spectrum
+        diff = xb - spec.mean
+        quad = np.einsum("md,md->m", diff, diff)
+        logdet = d * 2.0 * np.log(sigma)
+        if spec.rank:
+            shrink = spec.eigenvalues / (spec.eigenvalues + sigma**2)
+            c = np.einsum("md,dr->mr", diff, spec.basis)
+            quad = quad - np.einsum("mr,r->m", c**2, shrink)
+            logdet = (d - spec.rank) * 2.0 * np.log(sigma) + np.sum(
+                np.log(spec.eigenvalues + sigma**2)
+            )
+        columns.append(np.log(comp.weight) - 0.5 * (const + logdet + quad / sigma**2))
+    return np.column_stack(columns)
+
+
+def loop_weights_and_denoise(model, xb, sigma):
+    logits = loop_log_weights(model, xb, sigma)
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    w = w / w.sum(axis=1, keepdims=True)
+    out = np.zeros_like(xb)
+    for i, comp in enumerate(model.components):
+        out += w[:, i : i + 1] * gaussian_denoise(comp.spectrum, xb, sigma)
+    return w, out
+
+
+def ranked_mixture(seed, d, ranks):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, len(ranks))
+    weights /= weights.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    return MixtureModel(tuple(
+        GaussianComponent(float(w), random_spectrum(seed + 1 + i, d, r, mean_scale=2.0))
+        for i, (w, r) in enumerate(zip(weights, ranks))
+    ))
+
+
+class TestStackedMixture:
+    # (dim, component ranks): the ensemble's fitted shape, the sweep's K = 8
+    # cells (rank 0, 2 and full), one component, and unequal ranks whose
+    # groups interleave in component order.
+    CASES = [
+        (16, [3] * 4),
+        (64, [0] * 8),
+        (64, [2] * 8),
+        (64, [64] * 8),
+        (6, [2]),
+        (16, [3, 0, 5, 3, 16, 0, 1]),
+    ]
+
+    @pytest.mark.parametrize("dim, ranks", CASES)
+    def test_matches_per_component_loop_bitwise(self, dim, ranks):
+        model = ranked_mixture(len(ranks) + dim, dim, ranks)
+        rng = np.random.default_rng(dim)
+        x = 2.0 * rng.standard_normal((300, dim))
+        for sigma in (0.05, 0.5, 2.0, 8.0, 80.0, 1e6):
+            w, out = loop_weights_and_denoise(model, x, sigma)
+            np.testing.assert_array_equal(model._log_weights(x, sigma), loop_log_weights(model, x, sigma))
+            np.testing.assert_array_equal(model.posterior_weights(x, sigma), w)
+            np.testing.assert_array_equal(model.denoise(x, sigma), out)
+
+    @pytest.mark.parametrize("dim, ranks", CASES)
+    def test_single_rows_match_batch_bitwise(self, dim, ranks):
+        model = ranked_mixture(len(ranks) + dim, dim, ranks)
+        x = 2.0 * np.random.default_rng(dim + 1).standard_normal((300, dim))
+        for sigma in (0.05, 2.0):
+            batch = model.denoise(x, sigma)
+            for i in (0, 1, 150, 299):
+                np.testing.assert_array_equal(model.denoise(x[i], sigma), batch[i])
+
+    def test_stacked_arrays_are_read_only(self):
+        model = ranked_mixture(3, 16, [3, 0, 3])
+        arrays = [model._log_pi, model._means]
+        for _, bases, eigs in model._groups:
+            arrays += [bases, eigs]
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_denoise_peak_memory_follows_chunk_budget(self):
+        # Stacked over all 64 components, one 256-row chunk of (K, rows, D)
+        # differences alone would take 98 MiB.
+        model = ranked_mixture(71, 784, [4] * 64)
+        x = np.random.default_rng(72).standard_normal((256, 784))
+        tracemalloc.start()
+        try:
+            model.denoise(x, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("rank", [0, None])
+    def test_top_of_sigma_domain_stays_finite(self, rank):
+        # At sigma = 1e154, |x - mu|^2 overflows for probes x ~ sigma z.
+        rng = np.random.default_rng(81)
+        model = fit_gmm(PointCloud(rng.standard_normal((50, 4))), 2, rank=rank, seed=0)
+        x = 1e154 * rng.standard_normal((8, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = model.denoise(x, 1e154)
+            score = model.score(x, 1e154)
+            w = model.posterior_weights(x, 1e154)
+        assert np.all(np.isfinite(out)) and np.all(np.isfinite(score))
+        # At sigma far above the cloud the posterior is the prior.
+        np.testing.assert_allclose(w, np.tile([c.weight for c in model.components], (8, 1)))
+
+    def test_rows_with_finite_forms_unchanged_beside_overflowing_rows(self):
+        model = ranked_mixture(91, 4, [2, 4])
+        x = np.random.default_rng(92).standard_normal((5, 4))
+        far = 1e154 * np.random.default_rng(93).standard_normal((3, 4))
+        mixed = model._log_weights(np.vstack([x, far]), 1e154)
+        np.testing.assert_array_equal(mixed[:5], model._log_weights(x, 1e154))
+        assert np.all(np.isfinite(mixed))
 
 
 class TestDeltaScore:

@@ -1,0 +1,51 @@
+"""The benchmark tracer's invariants on a tiny sampling run.
+
+``perfbench/tracer.py`` wraps scorefield from outside the package. It counts
+model calls per trajectory and replaces ``cli.ThreadPoolExecutor`` to carry
+span parents into the worker threads, so a change that batches the samplers
+or removes the pool breaks the benchmark's traced run. This test fails
+first. The tracer source is only read here, never written or imported as a
+package module.
+"""
+
+import types
+from pathlib import Path
+
+import scorefield.cli as cli
+from scorefield.cli import run
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def test_sampler_model_calls_equal_trajectory_nfe(tmp_path):
+    trace = load_tracer()
+    cloud, model = tmp_path / "cloud.bin", tmp_path / "gmm.json"
+    assert run(["gen-synthetic", "--kind", "gmm", "--d", "4", "--n", "200", "--k", "2",
+                "--seed", "1", "--out", str(cloud)]) == 0
+    assert run(["fit-gmm", "--input", str(cloud), "--k", "2", "--rank", "2", "--seed", "1",
+                "--out", str(model)]) == 0
+    pool = cli.ThreadPoolExecutor
+    tracer = trace.Tracer()
+    tracer.install()
+    try:
+        assert cli.ThreadPoolExecutor is not pool
+        # Six grid levels: five Heun steps and nine model calls per trajectory.
+        assert run(["sample", "--model", str(model), "--sampler", "heun",
+                    "--grid", "0.01:10:7:6", "--n", "3", "--seed", "2",
+                    "--out", str(tmp_path / "heun")]) == 0
+        assert run(["teleport", "--model", f"delta:{cloud}", "--cloud", str(cloud),
+                    "--skip", "2.0", "--skip-mode", "regrid", "--grid", "0.01:10:7:6",
+                    "--n", "2", "--seed", "3", "--out", str(tmp_path / "teleport")]) == 0
+        metrics = trace.summarize(tracer.take(), tracer.fingerprint)
+    finally:
+        tracer.uninstall()
+    assert cli.ThreadPoolExecutor is pool
+    assert metrics["samplers.trajectories"] == 5
+    assert metrics["samplers.model_calls"] == metrics["samplers.nfe"] == 45
