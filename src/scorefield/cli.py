@@ -3,7 +3,8 @@ score-comparison harness.
 
 Every subcommand that takes --seed is bit-reproducible, with all randomness
 split from the one seed through numpy SeedSequence spawning. Every output
-file gets a JSON sidecar (<name>.meta.json) recording the full invocation.
+file gets a JSON sidecar (<name>.meta.json) recording every option of the
+run. Each option and its default are declared once, in ``build_parser``.
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 
@@ -28,7 +29,7 @@ from .models import (
     IsotropicModel,
     load_model,
     model_fingerprint,
-    model_to_json,
+    save_model,
 )
 from .samplers import (
     ddim_style_sample,
@@ -48,10 +49,13 @@ def _worker_count(n: int) -> int:
     return max(1, min(n, cap))
 
 
-def _write_sidecar(out_path: str, command: str, params: dict) -> None:
-    meta = {"tool": "scorefield", "version": __version__, "command": command,
-            "params": params}
-    base = out_path.rstrip("/")
+def _write_sidecar(args: argparse.Namespace, **derived) -> None:
+    """Record every option of the run, after config merging, plus what the
+    command derived from them, next to ``args.out``."""
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config")}
+    meta = {"tool": "scorefield", "version": __version__, "command": args.command,
+            "params": {**params, **derived}}
+    base = args.out.rstrip("/")
     path = os.path.join(base, "meta.json") if os.path.isdir(base) else base + ".meta.json"
     with open(path, "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
@@ -97,19 +101,16 @@ def _parse_ranks(text: str) -> list:
     return out
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Config JSON fills options left at their 'unset' sentinel; explicit
-    flags win."""
-    if getattr(args, "config", None):
-        with open(args.config) as f:
-            cfg = json.load(f)
-        for key, value in cfg.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) is None:
-                setattr(args, attr, value)
-    for attr, value in parser_defaults.items():
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+def _config_tokens(path: str) -> list[str]:
+    """A JSON config object as ``--key=value`` tokens, parsed like flags.
+    Keys are long option names (``-`` or ``_``); ``null`` values are left
+    out, so the option keeps its default."""
+    with open(path) as f:
+        cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ScoreFieldError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
+    return [f"--{key.replace('_', '-')}={value if isinstance(value, str) else json.dumps(value)}"
+            for key, value in cfg.items() if value is not None]
 
 
 def _require(args, *names):
@@ -130,33 +131,22 @@ def _require_count(args, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_synthetic(args) -> None:
-    _merge_config(args, {"kind": "gaussian", "d": 8, "n": 256, "seed": 0, "k": 3})
     _require(args, "out")
     kwargs = {}
     if args.kind == "gmm":
         kwargs["k"] = args.k
     cloud = generate_cloud(args.kind, args.n, args.d, args.seed, **kwargs)
     save_cloud(cloud, args.out)
-    _write_sidecar(args.out, "gen-synthetic", {
-        "kind": args.kind, "d": args.d, "n": args.n, "seed": args.seed, "k": args.k,
-        "out": args.out,
-    })
+    _write_sidecar(args)
 
 
 def cmd_fit_gmm(args) -> None:
-    _merge_config(args, {"k": 1, "rank": "full", "seed": 0, "batch": 2048, "max_iter": 100})
     _require(args, "input", "out")
     cloud = load_cloud(args.input)
-    rank = None if str(args.rank) == "full" else int(args.rank)
+    rank = None if args.rank == "full" else int(args.rank)
     km = minibatch_kmeans_full(cloud, args.k, args.batch, args.seed, args.max_iter)
-    model = gmm_from_assignments(cloud, km.assignments, rank)
-    with open(args.out, "w") as f:
-        json.dump(model_to_json(model), f)
-    _write_sidecar(args.out, "fit-gmm", {
-        "input": args.input, "k": args.k, "rank": args.rank, "seed": args.seed,
-        "batch": args.batch, "max_iter": args.max_iter, "out": args.out,
-        "iterations": km.iterations, "inertia": km.inertia,
-    })
+    save_model(gmm_from_assignments(cloud, km.assignments, rank), args.out)
+    _write_sidecar(args, iterations=km.iterations, inertia=km.inertia)
 
 
 def _run_one_trajectory(args, model, index: int, seed_seq) -> str:
@@ -182,8 +172,6 @@ def _run_one_trajectory(args, model, index: int, seed_seq) -> str:
 
 
 def cmd_sample(args) -> None:
-    _merge_config(args, {"sampler": "heun", "grid": "0.002:80:7:18", "n": 1,
-                         "seed": 0, "steps": 200, "schedule": "vp:0.1:20:1"})
     _require(args, "model", "out")
     _require_count(args, "n")
     model = _load_model_spec(args.model, {})
@@ -194,16 +182,10 @@ def cmd_sample(args) -> None:
                    for i in range(args.n)]
         for fut in futures:
             fut.result()
-    _write_sidecar(args.out, "sample", {
-        "model": args.model, "sampler": args.sampler, "grid": args.grid,
-        "schedule": args.schedule, "steps": args.steps, "n": args.n,
-        "seed": args.seed, "out": args.out,
-    })
+    _write_sidecar(args)
 
 
 def cmd_teleport(args) -> None:
-    _merge_config(args, {"grid": "0.002:80:7:18", "skip_mode": "grid-aligned",
-                         "n": 1, "seed": 0})
     _require(args, "model", "cloud", "skip", "out")
     _require_count(args, "n")
     clouds = {}
@@ -217,31 +199,24 @@ def cmd_teleport(args) -> None:
     def run(i):
         rng = np.random.default_rng(seeds[i])
         x_T = grid.levels[0] * rng.standard_normal(model.dim)
-        traj = teleport_sample(model, spec, grid, float(args.skip), x_T,
-                               skip_mode=args.skip_mode)
+        traj = teleport_sample(model, spec, grid, args.skip, x_T, skip_mode=args.skip_mode)
         save_trajectory_csv(traj, os.path.join(args.out, f"traj_{i:04d}.csv"))
 
     with ThreadPoolExecutor(max_workers=_worker_count(args.n)) as pool:
         for fut in [pool.submit(run, i) for i in range(args.n)]:
             fut.result()
-    _write_sidecar(args.out, "teleport", {
-        "model": args.model, "cloud": args.cloud, "skip": float(args.skip),
-        "skip_mode": args.skip_mode, "grid": args.grid, "n": args.n,
-        "seed": args.seed, "out": args.out,
-    })
+    _write_sidecar(args)
 
 
 def cmd_compare(args) -> None:
-    _merge_config(args, {"probes": 256, "seed": 0, "probe_dist": "gaussian"})
     _require(args, "ref", "approx", "sigmas", "out")
     clouds = {}
     ref = _load_model_spec(args.ref, clouds)
     approx = _load_model_spec(args.approx, clouds)
-    sigmas = _parse_floats(args.sigmas)
-    cloud = _read_cloud(clouds, args.cloud) if getattr(args, "cloud", None) else None
-    seeds = np.random.SeedSequence(args.seed).spawn(len(sigmas))
+    cloud = _read_cloud(clouds, args.cloud) if args.cloud else None
+    seeds = np.random.SeedSequence(args.seed).spawn(len(args.sigmas))
     rows = []
-    for s, seed in zip(sigmas, seeds):
+    for s, seed in zip(args.sigmas, seeds):
         st = unexplained_variance(ref, approx, s, args.probes, seed=seed,
                                   probe_dist=args.probe_dist, cloud=cloud)
         rows.append((s, st.mean, st.q25, st.q75, st.ratio_of_sums, st.n_excluded))
@@ -249,17 +224,10 @@ def cmd_compare(args) -> None:
         f.write("sigma,mean_uv,q25,q75,ratio_of_sums,n_excluded\n")
         for row in rows:
             f.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
-    _write_sidecar(args.out, "compare", {
-        "ref": args.ref, "approx": args.approx, "sigmas": sigmas,
-        "probes": args.probes, "seed": args.seed, "probe_dist": args.probe_dist,
-        "out": args.out, "ref_hash": model_fingerprint(ref),
-        "approx_hash": model_fingerprint(approx),
-    })
+    _write_sidecar(args, ref_hash=model_fingerprint(ref), approx_hash=model_fingerprint(approx))
 
 
 def cmd_sweep(args) -> None:
-    _merge_config(args, {"probes": 256, "seed": 0, "reference": "delta",
-                         "batch": 2048, "max_iter": 100})
     _require(args, "cloud", "k_list", "rank_list", "sigmas", "out")
     clouds = {}
     cloud = _read_cloud(clouds, args.cloud)
@@ -267,72 +235,43 @@ def cmd_sweep(args) -> None:
         reference = DeltaMixtureModel(cloud)
     else:
         reference = _load_model_spec(args.reference, clouds)
-    table = rank_mode_sweep(
-        cloud,
-        _parse_ints(args.k_list),
-        _parse_ranks(args.rank_list),
-        _parse_floats(args.sigmas),
-        reference,
-        n_probe=args.probes,
-        seed=args.seed,
-        batch=args.batch,
-        max_iter=args.max_iter,
-    )
+    table = rank_mode_sweep(cloud, args.k_list, args.rank_list, args.sigmas, reference,
+                            n_probe=args.probes, seed=args.seed, batch=args.batch,
+                            max_iter=args.max_iter)
     table.to_csv(args.out)
-    _write_sidecar(args.out, "sweep", {
-        "cloud": args.cloud, "k_list": args.k_list, "rank_list": args.rank_list,
-        "sigmas": args.sigmas, "probes": args.probes, "seed": args.seed,
-        "reference": args.reference, "out": args.out,
-        "reference_hash": model_fingerprint(reference),
-    })
+    _write_sidecar(args, reference_hash=model_fingerprint(reference))
 
 
 def cmd_slice(args) -> None:
-    _merge_config(args, {"grid_n": 40, "extent": None})
     _require(args, "models", "anchors", "sigma", "out")
     clouds = {}
     models = [_load_model_spec(m, clouds) for m in args.models.split(",")]
     anchors = np.loadtxt(args.anchors, delimiter=",", ndmin=2)
-    field = _slice_field(models, anchors, float(args.sigma), args.grid_n,
-                         None if args.extent is None else float(args.extent))
+    field = _slice_field(models, anchors, args.sigma, args.grid_n, args.extent)
     os.makedirs(args.out, exist_ok=True)
     for i in range(len(models)):
         field.to_csv(os.path.join(args.out, f"slice_{i:02d}.csv"), model_index=i)
-    _write_sidecar(args.out, "slice", {
-        "models": args.models, "anchors": args.anchors, "sigma": float(args.sigma),
-        "grid_n": args.grid_n, "extent": args.extent, "out": args.out,
-        "origin": field.origin.tolist(), "anchor_uv": field.anchor_uv.tolist(),
-        "model_hashes": [model_fingerprint(m) for m in models],
-    })
+    _write_sidecar(args, origin=field.origin.tolist(), anchor_uv=field.anchor_uv.tolist(),
+                   model_hashes=[model_fingerprint(m) for m in models])
 
 
 def cmd_curves(args) -> None:
-    _merge_config(args, {"schedule": "vp:0.1:20:1", "lambdas": "0.04,1,25", "n_t": 1001})
     _require(args, "out")
     schedule = parse_schedule_spec(args.schedule)
-    lambdas = _parse_floats(args.lambdas)
     t_grid = np.linspace(0.0, schedule.T, args.n_t)
-    table = analytical_curves(schedule, lambdas, t_grid)
-    table.to_csv(args.out)
-    _write_sidecar(args.out, "curves", {
-        "schedule": args.schedule, "lambdas": lambdas, "n_t": args.n_t, "out": args.out,
-    })
+    analytical_curves(schedule, args.lambdas, t_grid).to_csv(args.out)
+    _write_sidecar(args)
 
 
 def cmd_bimodal(args) -> None:
-    _merge_config(args, {"m": 4.0, "q": 0.1, "dims": "1,16,256", "n_quad": 200})
     _require(args, "sigmas", "out")
-    sigmas = np.asarray(_parse_floats(args.sigmas))
-    dims = _parse_ints(args.dims)
-    curves = {d: bimodal_error_curve(args.m, args.q, d, sigmas, args.n_quad) for d in dims}
+    sigmas = np.asarray(args.sigmas)
+    curves = {d: bimodal_error_curve(args.m, args.q, d, sigmas, args.n_quad) for d in args.dims}
     with open(args.out, "w") as f:
-        f.write("sigma," + ",".join(f"E_d{d}" for d in dims) + "\n")
+        f.write("sigma," + ",".join(f"E_d{d}" for d in args.dims) + "\n")
         for i, s in enumerate(sigmas):
-            f.write(f"{s:.17g}," + ",".join(f"{curves[d][i]:.17g}" for d in dims) + "\n")
-    _write_sidecar(args.out, "bimodal", {
-        "m": args.m, "q": args.q, "dims": dims, "sigmas": sigmas.tolist(),
-        "n_quad": args.n_quad, "out": args.out,
-    })
+            f.write(f"{s:.17g}," + ",".join(f"{curves[d][i]:.17g}" for d in args.dims) + "\n")
+    _write_sidecar(args)
 
 
 # ---------------------------------------------------------------------------
@@ -348,68 +287,96 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **opts):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=fn)
-        p.add_argument("--config", default=None, help="JSON config merged under explicit flags")
+        p.add_argument("--config", help="JSON object of option values; explicit flags win")
         for flag, kw in opts.items():
             p.add_argument(f"--{flag.replace('_', '-')}", **kw)
-        return p
+
+    seed = {"type": int, "default": 0, "help": "seed of every random draw"}
+    out = {"help": "output path (required)"}
+    model = {"help": "model JSON, or gaussian:/delta:/iso:<cloud file> (required)"}
+    grid = {"default": "0.002:80:7:18", "help": "noise grid sigma_min:sigma_max:rho:n"}
+    schedule = {"default": "vp:0.1:20:1", "help": "noise schedule spec"}
+    count = {"type": int, "default": 1, "help": "number of trajectories"}
+    sigmas = {"type": _parse_floats, "help": "comma-separated noise levels (required)"}
+    probes = {"type": int, "default": 256, "help": "probe points per noise level"}
+    batch = {"type": int, "default": 2048, "help": "k-means mini-batch size"}
+    max_iter = {"type": int, "default": 100, "help": "k-means iteration cap"}
 
     add("gen-synthetic", cmd_gen_synthetic,
-        kind={"default": None, "choices": ["gaussian", "gmm", "two-cluster"]},
-        d={"type": int, "default": None}, n={"type": int, "default": None},
-        k={"type": int, "default": None}, seed={"type": int, "default": None},
-        out={"default": None})
+        kind={"default": "gaussian", "choices": ["gaussian", "gmm", "two-cluster"],
+              "help": "cloud family"},
+        d={"type": int, "default": 8, "help": "dimension"},
+        n={"type": int, "default": 256, "help": "number of points"},
+        k={"type": int, "default": 3, "help": "clusters of a gmm cloud"},
+        seed=seed, out=out)
     add("fit-gmm", cmd_fit_gmm,
-        input={"default": None}, k={"type": int, "default": None},
-        rank={"default": None}, seed={"type": int, "default": None},
-        batch={"type": int, "default": None}, max_iter={"type": int, "default": None},
-        out={"default": None})
+        input={"help": "point-cloud file (required)"},
+        k={"type": int, "default": 1, "help": "mixture components"},
+        rank={"default": "full", "help": "covariance rank per component, or full"},
+        seed=seed, batch=batch, max_iter=max_iter, out=out)
     add("sample", cmd_sample,
-        model={"default": None},
-        sampler={"default": None, "choices": ["heun", "rk4", "ddim"]},
-        grid={"default": None}, schedule={"default": None},
-        steps={"type": int, "default": None}, n={"type": int, "default": None},
-        seed={"type": int, "default": None}, out={"default": None})
+        model=model,
+        sampler={"default": "heun", "choices": ["heun", "rk4", "ddim"], "help": "integrator"},
+        grid=grid, schedule={**schedule, "help": "ddim noise schedule spec"},
+        steps={"type": int, "default": 200, "help": "rk4 substeps or ddim steps"},
+        n=count, seed=seed, out=out)
     add("teleport", cmd_teleport,
-        model={"default": None}, cloud={"default": None},
-        skip={"type": float, "default": None},
-        skip_mode={"default": None, "choices": ["regrid", "grid-aligned"]},
-        grid={"default": None}, n={"type": int, "default": None},
-        seed={"type": int, "default": None}, out={"default": None})
+        model=model, cloud={"help": "cloud whose Gaussian fit makes the jump (required)"},
+        skip={"type": float, "help": "noise level the jump lands on (required)"},
+        skip_mode={"default": "grid-aligned", "choices": ["regrid", "grid-aligned"],
+                   "help": "keep the grid below the skip, or re-grid that range"},
+        grid=grid, n=count, seed=seed, out=out)
     add("compare", cmd_compare,
-        ref={"default": None}, approx={"default": None}, sigmas={"default": None},
-        probes={"type": int, "default": None}, seed={"type": int, "default": None},
-        probe_dist={"default": None, "choices": ["gaussian", "noised-cloud"]},
-        cloud={"default": None}, out={"default": None})
+        ref={**model, "help": "reference model spec (required)"},
+        approx={**model, "help": "approximate model spec (required)"},
+        sigmas=sigmas, probes=probes, seed=seed,
+        probe_dist={"default": "gaussian", "choices": ["gaussian", "noised-cloud"],
+                    "help": "probe distribution"},
+        cloud={"help": "cloud of the noised-cloud probes"}, out=out)
     add("sweep", cmd_sweep,
-        cloud={"default": None}, k_list={"default": None}, rank_list={"default": None},
-        sigmas={"default": None}, probes={"type": int, "default": None},
-        seed={"type": int, "default": None}, reference={"default": None},
-        batch={"type": int, "default": None}, max_iter={"type": int, "default": None},
-        out={"default": None})
+        cloud={"help": "training cloud (required)"},
+        k_list={"type": _parse_ints, "help": "comma-separated mode counts (required)"},
+        rank_list={"type": _parse_ranks, "help": "comma-separated ranks or full (required)"},
+        sigmas=sigmas, probes=probes, seed=seed,
+        reference={"default": "delta", "help": "reference: delta on the cloud, or a model spec"},
+        batch=batch, max_iter=max_iter, out=out)
     add("slice", cmd_slice,
-        models={"default": None}, anchors={"default": None},
-        sigma={"type": float, "default": None}, grid_n={"type": int, "default": None},
-        extent={"type": float, "default": None}, out={"default": None})
+        models={"help": "comma-separated model specs (required)"},
+        anchors={"help": "CSV of three anchor points (required)"},
+        sigma={"type": float, "help": "noise level (required)"},
+        grid_n={"type": int, "default": 40, "help": "grid points per axis"},
+        extent={"type": float, "default": None, "help": "half-width of the plane"},
+        out=out)
     add("curves", cmd_curves,
-        schedule={"default": None}, lambdas={"default": None},
-        n_t={"type": int, "default": None}, out={"default": None})
+        schedule=schedule,
+        lambdas={"type": _parse_floats, "default": "0.04,1,25",
+                 "help": "comma-separated eigenvalues"},
+        n_t={"type": int, "default": 1001, "help": "time points"}, out=out)
     add("bimodal", cmd_bimodal,
-        m={"type": float, "default": None}, q={"type": float, "default": None},
-        dims={"default": None}, sigmas={"default": None},
-        n_quad={"type": int, "default": None}, out={"default": None})
+        m={"type": float, "default": 4.0, "help": "mode separation"},
+        q={"type": float, "default": 0.1, "help": "mode width"},
+        dims={"type": _parse_ints, "default": "1,16,256", "help": "comma-separated dimensions"},
+        sigmas=sigmas,
+        n_quad={"type": int, "default": 200, "help": "quadrature points"}, out=out)
     return parser
 
 
 def run(argv=None) -> int:
+    """Run one command. ``--config`` keys become ``--key=value`` tokens
+    placed right after the subcommand, so they are parsed like flags and
+    explicit flags, coming later, win."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
+        args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        args.func(args)
     except (OSError, ScoreFieldError, ValueError, KeyError) as exc:
         print(f"scorefield {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,9 @@
 
 All EDM-style samplers integrate in sigma directly (sigma(t) = t), so the
 ODE is dx/dsigma = -sigma s(x, sigma) = (x - D(x, sigma)) / sigma. Runs are
-serial and deterministic; the recorded NFE equals the number of score-model
-evaluations actually performed.
+serial and deterministic. Heun, RK4 and DDIM are step rules over one
+integration loop, which counts the model calls each step makes; a
+trajectory's NFE is that count and is kept nowhere else.
 """
 
 from __future__ import annotations
@@ -67,9 +68,52 @@ class Trajectory:
         return int(self.metadata.get("nfe", 0))
 
 
-def _check_finite(x: np.ndarray, step: int, sampler: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise NumericalBlowup(f"{sampler} produced a non-finite state at step {step}", step=step)
+class _CountingView:
+    """Counts the ``denoise`` and ``score`` calls made to a model. Not a
+    ``ScoreModel``, so instrumentation that wraps the model classes sees
+    each call once, on the model."""
+
+    def __init__(self, model: ScoreModel):
+        self.model = model
+        self.calls = 0
+
+    def denoise(self, x, sigma):
+        self.calls += 1
+        return self.model.denoise(x, sigma)
+
+    def score(self, x, sigma):
+        self.calls += 1
+        return self.model.score(x, sigma)
+
+
+def _integrate(sampler: str, model: ScoreModel, x_start, arg: str, step, sigma: np.ndarray,
+               t=None, alpha=None, keep_denoised: bool = True, **metadata) -> Trajectory:
+    """The loop of every sampler: ``x, den = step(view, x, i)`` moves the
+    state from ``sigma[i]`` to ``sigma[i + 1]``, ``den`` being the denoiser
+    value at ``sigma[i]``. The NFE is the number of calls made through
+    ``view``. ``t`` and ``alpha`` default to ``sigma`` and ones (EDM form).
+    """
+    x = np.array(x_start, dtype=np.float64).reshape(-1)
+    if x.size != model.dim:
+        raise InvalidInput(f"{arg} has length {x.size}, model dimension is {model.dim}")
+    view = _CountingView(model)
+    states = np.empty((sigma.size, x.size))
+    denoised = np.full_like(states, np.nan)
+    states[0] = x
+    for i in range(sigma.size - 1):
+        x, denoised[i] = step(view, x, i)
+        if not np.all(np.isfinite(x)):
+            raise NumericalBlowup(
+                f"{sampler} produced a non-finite state at step {i}", step=i)
+        states[i + 1] = x
+    return Trajectory(
+        t=sigma.copy() if t is None else t,
+        sigma=sigma.copy(),
+        alpha=np.ones(sigma.size) if alpha is None else alpha,
+        states=states,
+        denoised=denoised if keep_denoised else None,
+        metadata={"sampler": sampler, "nfe": view.calls, **metadata},
+    )
 
 
 def heun_sample(model: ScoreModel, grid: NoiseGrid, x_T: np.ndarray) -> Trajectory:
@@ -81,36 +125,18 @@ def heun_sample(model: ScoreModel, grid: NoiseGrid, x_T: np.ndarray) -> Trajecto
     NFE = 2 (n-1) - 1.
     """
     levels = grid.levels
-    x = np.array(x_T, dtype=np.float64).reshape(-1)
-    if x.size != model.dim:
-        raise InvalidInput(f"x_T has length {x.size}, model dimension is {model.dim}")
-    n = levels.size
-    states = np.empty((n, x.size))
-    denoised = np.full((n, x.size), np.nan)
-    states[0] = x
-    nfe = 0
-    for i in range(n - 1):
+
+    def step(model, x, i):
         s_cur, s_next = levels[i], levels[i + 1]
         den = model.denoise(x, s_cur)
-        nfe += 1
-        denoised[i] = den
         d_cur = (x - den) / s_cur
         x_next = x + (s_next - s_cur) * d_cur
-        if i < n - 2:
+        if i < levels.size - 2:
             d_next = (x_next - model.denoise(x_next, s_next)) / s_next
-            nfe += 1
             x_next = x + (s_next - s_cur) * 0.5 * (d_cur + d_next)
-        _check_finite(x_next, i, "heun")
-        x = x_next
-        states[i + 1] = x
-    return Trajectory(
-        t=levels.copy(),
-        sigma=levels.copy(),
-        alpha=np.ones(n),
-        states=states,
-        denoised=denoised,
-        metadata={"sampler": "heun", "nfe": nfe},
-    )
+        return x_next, den
+
+    return _integrate("heun", model, x_T, "x_T", step, levels)
 
 
 def rk4_sample(
@@ -133,9 +159,6 @@ def rk4_sample(
         raise InvalidInput(f"need sigma_start >= sigma_end >= 0, got ({sigma_start}, {sigma_end})")
     if n_sub < 1:
         raise InvalidInput(f"n_sub must be >= 1, got {n_sub}")
-    x = np.array(x_start, dtype=np.float64).reshape(-1)
-    if x.size != model.dim:
-        raise InvalidInput(f"x_start has length {x.size}, model dimension is {model.dim}")
 
     if record_levels is None:
         record = np.array([sigma_start, sigma_end], dtype=np.float64)
@@ -146,47 +169,30 @@ def rk4_sample(
         if np.any(record > sigma_start) or np.any(record < sigma_end):
             raise InvalidInput("record levels must lie within [sigma_end, sigma_start]")
     record = np.unique(record)[::-1]
+    span = sigma_start - sigma_end
 
-    nfe = 0
-
-    def slope(xv, sigma):
+    def slope(model, xv, sigma):
         # -sigma s(x, sigma) with the score evaluated no lower than the floor;
         # keeping the true sigma multiplier damps the off-manifold 1/sigma
         # blowup as sigma -> 0 instead of amplifying it.
-        nonlocal nfe
         s_eval = max(sigma, sigma_eval_floor)
-        nfe += 1
         return (sigma / s_eval**2) * (xv - model.denoise(xv, s_eval))
 
-    states = [x.copy()]
-    span = sigma_start - sigma_end
-    for seg in range(record.size - 1):
+    def step(model, x, seg):
         a, b = record[seg], record[seg + 1]
-        if a == b:
-            states.append(x.copy())
-            continue
-        m = max(1, int(round(n_sub * (a - b) / span))) if span > 0 else 1
+        m = max(1, int(round(n_sub * (a - b) / span)))
         h = (b - a) / m
         for j in range(m):
             s0 = a + j * h
-            k1 = slope(x, s0)
-            k2 = slope(x + 0.5 * h * k1, s0 + 0.5 * h)
-            k3 = slope(x + 0.5 * h * k2, s0 + 0.5 * h)
-            k4 = slope(x + h * k3, s0 + h)
+            k1 = slope(model, x, s0)
+            k2 = slope(model, x + 0.5 * h * k1, s0 + 0.5 * h)
+            k3 = slope(model, x + 0.5 * h * k2, s0 + 0.5 * h)
+            k4 = slope(model, x + h * k3, s0 + h)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_finite(x, seg, "rk4")
-        states.append(x.copy())
+        return x, np.nan
 
-    if record.size == 1:  # zero-length interval
-        states = [x.copy()]
-    return Trajectory(
-        t=record.copy(),
-        sigma=record.copy(),
-        alpha=np.ones(record.size),
-        states=np.asarray(states),
-        denoised=None,
-        metadata={"sampler": "rk4", "nfe": nfe, "n_sub": n_sub},
-    )
+    return _integrate("rk4", model, x_start, "x_start", step, record, keep_denoised=False,
+                      n_sub=n_sub)
 
 
 def teleport_sample(
@@ -273,32 +279,16 @@ def ddim_style_sample(
     if np.any(sigmas[:-1] <= 0):
         raise InvalidInput("schedule sigma must be positive on all but the final level")
 
-    x = np.array(x_T, dtype=np.float64).reshape(-1)
-    if x.size != model.dim:
-        raise InvalidInput(f"x_T has length {x.size}, model dimension is {model.dim}")
-    n = times.size
-    states = np.empty((n, x.size))
-    denoised = np.full((n, x.size), np.nan)
-    states[0] = x
-    nfe = 0
-    for i in range(n - 1):
+
+    def step(model, x, i):
         a_cur, s_cur = alphas[i], sigmas[i]
         a_next, s_next = alphas[i + 1], sigmas[i + 1]
         score_scaled = model.score(x / a_cur, s_cur / a_cur) / a_cur
-        nfe += 1
         x0_hat = (x + s_cur**2 * score_scaled) / a_cur
-        denoised[i] = x0_hat
-        x = a_next * x0_hat + s_next * (x - a_cur * x0_hat) / s_cur
-        _check_finite(x, i, "ddim")
-        states[i + 1] = x
-    return Trajectory(
-        t=times,
-        sigma=sigmas,
-        alpha=alphas,
-        states=states,
-        denoised=denoised,
-        metadata={"sampler": "ddim", "nfe": nfe, "n_step": n_step},
-    )
+        return a_next * x0_hat + s_next * (x - a_cur * x0_hat) / s_cur, x0_hat
+
+    return _integrate("ddim", model, x_T, "x_T", step, sigmas, t=times, alpha=alphas,
+                      n_step=n_step)
 
 
 def evaluate_denoised(model: ScoreModel, traj: Trajectory) -> Trajectory:

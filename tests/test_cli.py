@@ -220,10 +220,87 @@ class TestBimodal:
         assert len(lines) == 3
 
 
+class TestSidecar:
+    @pytest.mark.parametrize("command", [
+        "gen-synthetic", "fit-gmm", "sample", "teleport", "compare", "sweep", "slice",
+        "curves", "bimodal",
+    ])
+    def test_params_hold_every_option(self, tmp_path, cloud_file, command):
+        # every option the subparser declares, except --config, with its parsed value
+        anchors = tmp_path / "anchors.csv"
+        np.savetxt(anchors, np.eye(3, 4), delimiter=",")
+        c = str(cloud_file)
+        argv, out = {
+            "gen-synthetic": (["--n", "20"], "c.bin"),
+            "fit-gmm": (["--input", c, "--k", "2", "--max-iter", "5"], "m.json"),
+            "sample": (["--model", f"gaussian:{c}", "--grid", "0.01:10:7:4"], "traj"),
+            "teleport": (["--model", f"gaussian:{c}", "--cloud", c, "--skip", "2.5",
+                          "--skip-mode", "regrid", "--grid", "0.01:10:7:4"], "tele"),
+            "compare": (["--ref", f"delta:{c}", "--approx", f"gaussian:{c}",
+                         "--sigmas", "1,2", "--probes", "8"], "cmp.csv"),
+            "sweep": (["--cloud", c, "--k-list", "1", "--rank-list", "0,full",
+                       "--sigmas", "1", "--probes", "8", "--max-iter", "5"], "sweep.csv"),
+            "slice": (["--models", f"gaussian:{c}", "--anchors", str(anchors),
+                       "--sigma", "0.5", "--grid-n", "4"], "slices"),
+            "curves": (["--n-t", "11"], "curves.csv"),
+            "bimodal": (["--sigmas", "1,2", "--dims", "1,2", "--n-quad", "64"], "bimodal.csv"),
+        }[command]
+        argv = [command, *argv, "--out", str(tmp_path / out)]
+        assert run(argv) == 0
+        meta_path = tmp_path / out / "meta.json"
+        if not meta_path.exists():
+            meta_path = tmp_path / f"{out}.meta.json"
+        params = json.loads(meta_path.read_text())["params"]
+        parsed = vars(cli.build_parser().parse_args(argv))
+        for name in ("func", "command", "config"):
+            del parsed[name]
+        for name, value in parsed.items():
+            assert params[name] == json.loads(json.dumps(value)), name
+
+
+class TestConfig:
+    def _run(self, tmp_path, argv, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run([*argv, "--config", str(path)])
+
+    def test_value_parsed_like_its_flag(self, tmp_path):
+        argv = ["gen-synthetic", "--kind", "gmm", "--d", "3", "--seed", "2"]
+        assert run([*argv, "--n", "3", "--out", str(tmp_path / "flag.bin")]) == 0
+        assert self._run(tmp_path, [*argv, "--out", str(tmp_path / "cfg.bin")], {"n": "3"}) == 0
+        assert (tmp_path / "cfg.bin").read_bytes() == (tmp_path / "flag.bin").read_bytes()
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("max_iter", 5, 5),
+        ("max-iter", 5, 5),
+        ("batch", None, 2048),  # null keeps the default
+    ])
+    def test_keys_and_null(self, tmp_path, cloud_file, key, value, expected):
+        out = tmp_path / "m.json"
+        argv = ["fit-gmm", "--input", str(cloud_file), "--k", "2", "--out", str(out)]
+        assert self._run(tmp_path, argv, {key: value}) == 0
+        params = json.loads((tmp_path / "m.json.meta.json").read_text())["params"]
+        assert params[key.replace("-", "_")] == expected
+
+    @pytest.mark.parametrize("argv, cfg, code, message", [
+        pytest.param(["sample"], {"samplr": "rk4"}, 2, "--samplr", id="unknown-key"),
+        pytest.param(["compare"], {"sigmas": [0.5, 2]}, 2, "--sigmas", id="list-value"),
+        pytest.param(["sample"], [1, 2], 1, "must hold a JSON object", id="not-an-object"),
+    ])
+    def test_bad_config(self, tmp_path, cloud_file, capsys, argv, cfg, code, message):
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        assert self._run(tmp_path, argv, cfg) == code
+        assert message in capsys.readouterr().err
+
+
 class TestErrors:
     def test_usage_error_exit_2(self):
         assert run(["sample", "--not-a-flag"]) == 2
         assert run(["unknown-subcommand"]) == 2
+
+    def test_help_shows_declared_defaults(self, capsys):
+        assert run(["compare", "--help"]) == 0
+        assert "(default: 256)" in capsys.readouterr().out
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         code = run(["fit-gmm", "--input", str(tmp_path / "absent.bin"), "--k", "1",

@@ -94,11 +94,21 @@ class TestHeun:
         for i, s in enumerate(grid.levels):
             np.testing.assert_allclose(traj.states[i], mu + (s / 8.0) * (x_T - mu), rtol=1e-12)
 
-    def test_nfe_accounting(self):
-        model = CountingModel(GaussianModel(random_spectrum(2, 4, 2)))
+    # ddim's count is checked in TestDdim.test_nfe
+    @pytest.mark.parametrize("sampler", ["heun", "rk4", "teleport"])
+    def test_nfe_accounting(self, sampler):
+        spec = random_spectrum(2, 4, 2)
+        model = CountingModel(GaussianModel(spec))
         n = 25
-        traj = heun_sample(model, karras_grid(0.01, 10.0, 7.0, n), np.ones(4))
-        assert traj.nfe == 2 * (n - 1) - 1
+        grid = karras_grid(0.01, 10.0, 7.0, n)
+        traj, expected = {
+            "heun": lambda: (heun_sample(model, grid, np.ones(4)), 2 * (n - 1) - 1),
+            "rk4": lambda: (rk4_sample(model, 10.0, 0.01, 30, np.ones(4)), 4 * 30),
+            # skipping 5 levels saves 10 evaluations
+            "teleport": lambda: (teleport_sample(model, spec, grid, float(grid.levels[5]),
+                                                 np.ones(4)), 2 * (n - 1) - 1 - 10),
+        }[sampler]()
+        assert traj.nfe == expected
         assert traj.nfe == model.calls
 
     def test_determinism(self):
@@ -123,9 +133,15 @@ class TestHeun:
         assert np.all(ratios > 3.0)
         assert np.all(ratios < 5.5)
 
-    def test_blowup_detection(self):
+    @pytest.mark.parametrize("sampler", ["heun", "rk4", "ddim"])
+    def test_blowup_detection(self, sampler):
+        sample = {
+            "heun": lambda m: heun_sample(m, karras_grid(0.1, 5.0, 7.0, 6), np.ones(2)),
+            "rk4": lambda m: rk4_sample(m, 5.0, 0.1, 10, np.ones(2)),
+            "ddim": lambda m: ddim_style_sample(m, VpSchedule(0.1, 20.0), 5, np.ones(2)),
+        }[sampler]
         with pytest.raises(NumericalBlowup) as info:
-            heun_sample(BlowupModel(), karras_grid(0.1, 5.0, 7.0, 6), np.ones(2))
+            sample(BlowupModel())
         assert info.value.step == 0
 
     def test_records_denoised_along_the_way(self):
@@ -198,10 +214,14 @@ class TestRk4:
         ctx = SolutionContext.create(spec, x_T, 10.0)
         assert np.linalg.norm(traj.endpoint - endpoint(ctx)) < 1e-3
 
-    def test_bad_interval(self):
+    @pytest.mark.parametrize("sigma_start, sigma_end, x_start, message", [
+        pytest.param(1.0, 2.0, np.zeros(3), "sigma_start >= sigma_end", id="interval"),
+        pytest.param(2.0, 1.0, np.zeros(4), "x_start has length 4", id="x_start"),
+    ])
+    def test_bad_interval(self, sigma_start, sigma_end, x_start, message):
         model = GaussianModel(random_spectrum(6, 3, 1))
-        with pytest.raises(InvalidInput):
-            rk4_sample(model, 1.0, 2.0, 10, np.zeros(3))
+        with pytest.raises(InvalidInput, match=message):
+            rk4_sample(model, sigma_start, sigma_end, 10, x_start)
 
 
 class TestTeleport:
