@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,12 +42,6 @@ from .samplers import (
 from .schedules import parse_grid_spec, parse_schedule_spec
 from .spectrum import estimate_moments, load_cloud, save_cloud, spectrum_from_cloud
 from .synthetic import generate_cloud
-
-
-def _worker_count(n: int) -> int:
-    cap = os.environ.get("GSL_THREADS")
-    cap = int(cap) if cap else os.cpu_count() or 1
-    return max(1, min(n, cap))
 
 
 def _write_sidecar(args: argparse.Namespace, **derived) -> None:
@@ -106,7 +101,10 @@ def _config_tokens(path: str) -> list[str]:
     Keys are long option names (``-`` or ``_``); ``null`` values are left
     out, so the option keeps its default."""
     with open(path) as f:
-        cfg = json.load(f)
+        try:
+            cfg = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ScoreFieldError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ScoreFieldError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
     return [f"--{key.replace('_', '-')}={value if isinstance(value, str) else json.dumps(value)}"
@@ -149,40 +147,40 @@ def cmd_fit_gmm(args) -> None:
     _write_sidecar(args, iterations=km.iterations, inertia=km.inertia)
 
 
-def _run_one_trajectory(args, model, index: int, seed_seq) -> str:
-    rng = np.random.default_rng(seed_seq)
-    if args.sampler == "ddim":
-        schedule = parse_schedule_spec(args.schedule)
-        sigma_T = float(schedule.sigma(schedule.T))
-        x_T = sigma_T * rng.standard_normal(model.dim)
-        traj = ddim_style_sample(model, schedule, args.steps, x_T)
-    else:
-        grid = parse_grid_spec(args.grid)
-        x_T = grid.levels[0] * rng.standard_normal(model.dim)
-        if args.sampler == "heun":
-            traj = heun_sample(model, grid, x_T)
-        elif args.sampler == "rk4":
-            traj = rk4_sample(model, float(grid.levels[0]), float(grid.levels[-1]),
-                              args.steps, x_T, record_levels=grid.levels)
-        else:
-            raise ScoreFieldError(f"unknown sampler {args.sampler!r}")
-    path = os.path.join(args.out, f"traj_{index:04d}.csv")
-    save_trajectory_csv(traj, path, include_denoised=False)
-    return path
+def _ensemble(args, model, sigma_T, sample) -> None:
+    """Write ``--n`` trajectories ``sample(x_T)`` to ``traj_<i>.csv``, the i-th
+    from ``sigma_T`` times a standard normal draw of child i of
+    ``SeedSequence(--seed)``: a file depends on the seed and i, not on workers."""
+    os.makedirs(args.out, exist_ok=True)
+    seeds = np.random.SeedSequence(args.seed).spawn(args.n)
+
+    def run_one(i):
+        x_T = sigma_T * np.random.default_rng(seeds[i]).standard_normal(model.dim)
+        save_trajectory_csv(sample(x_T), os.path.join(args.out, f"traj_{i:04d}.csv"))
+
+    with ThreadPoolExecutor(max_workers=min(args.n, os.cpu_count() or 1)) as pool:
+        list(pool.map(run_one, range(args.n)))
+    _write_sidecar(args)
 
 
 def cmd_sample(args) -> None:
     _require(args, "model", "out")
     _require_count(args, "n")
     model = _load_model_spec(args.model, {})
-    os.makedirs(args.out, exist_ok=True)
-    seeds = np.random.SeedSequence(args.seed).spawn(args.n)
-    with ThreadPoolExecutor(max_workers=_worker_count(args.n)) as pool:
-        futures = [pool.submit(_run_one_trajectory, args, model, i, seeds[i])
-                   for i in range(args.n)]
-        for fut in futures:
-            fut.result()
-    _write_sidecar(args)
+    if args.sampler == "ddim":
+        schedule = parse_schedule_spec(args.schedule)
+        sigma_T = float(schedule.sigma(schedule.T))
+        sample = functools.partial(ddim_style_sample, model, schedule, args.steps)
+    else:
+        grid = parse_grid_spec(args.grid)
+        sigma_T = grid.levels[0]
+        if args.sampler == "heun":
+            sample = functools.partial(heun_sample, model, grid)
+        else:
+            sample = functools.partial(rk4_sample, model, float(grid.levels[0]),
+                                       float(grid.levels[-1]), args.steps,
+                                       record_levels=grid.levels)
+    _ensemble(args, model, sigma_T, sample)
 
 
 def cmd_teleport(args) -> None:
@@ -190,22 +188,10 @@ def cmd_teleport(args) -> None:
     _require_count(args, "n")
     clouds = {}
     model = _load_model_spec(args.model, clouds)
-    cloud = _read_cloud(clouds, args.cloud)
-    spec = spectrum_from_cloud(cloud)
+    spec = spectrum_from_cloud(_read_cloud(clouds, args.cloud))
     grid = parse_grid_spec(args.grid)
-    os.makedirs(args.out, exist_ok=True)
-    seeds = np.random.SeedSequence(args.seed).spawn(args.n)
-
-    def run(i):
-        rng = np.random.default_rng(seeds[i])
-        x_T = grid.levels[0] * rng.standard_normal(model.dim)
-        traj = teleport_sample(model, spec, grid, args.skip, x_T, skip_mode=args.skip_mode)
-        save_trajectory_csv(traj, os.path.join(args.out, f"traj_{i:04d}.csv"))
-
-    with ThreadPoolExecutor(max_workers=_worker_count(args.n)) as pool:
-        for fut in [pool.submit(run, i) for i in range(args.n)]:
-            fut.result()
-    _write_sidecar(args)
+    _ensemble(args, model, grid.levels[0], functools.partial(
+        teleport_sample, model, spec, grid, args.skip, skip_mode=args.skip_mode))
 
 
 def cmd_compare(args) -> None:
@@ -220,10 +206,8 @@ def cmd_compare(args) -> None:
         st = unexplained_variance(ref, approx, s, args.probes, seed=seed,
                                   probe_dist=args.probe_dist, cloud=cloud)
         rows.append((s, st.mean, st.q25, st.q75, st.ratio_of_sums, st.n_excluded))
-    with open(args.out, "w") as f:
-        f.write("sigma,mean_uv,q25,q75,ratio_of_sums,n_excluded\n")
-        for row in rows:
-            f.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    np.savetxt(args.out, np.reshape(rows, (-1, 6)), delimiter=",", fmt="%.17g", comments="",
+               header="sigma,mean_uv,q25,q75,ratio_of_sums,n_excluded")
     _write_sidecar(args, ref_hash=model_fingerprint(ref), approx_hash=model_fingerprint(approx))
 
 
@@ -231,10 +215,8 @@ def cmd_sweep(args) -> None:
     _require(args, "cloud", "k_list", "rank_list", "sigmas", "out")
     clouds = {}
     cloud = _read_cloud(clouds, args.cloud)
-    if args.reference == "delta":
-        reference = DeltaMixtureModel(cloud)
-    else:
-        reference = _load_model_spec(args.reference, clouds)
+    spec = f"delta:{args.cloud}" if args.reference == "delta" else args.reference
+    reference = _load_model_spec(spec, clouds)
     table = rank_mode_sweep(cloud, args.k_list, args.rank_list, args.sigmas, reference,
                             n_probe=args.probes, seed=args.seed, batch=args.batch,
                             max_iter=args.max_iter)
@@ -266,11 +248,9 @@ def cmd_curves(args) -> None:
 def cmd_bimodal(args) -> None:
     _require(args, "sigmas", "out")
     sigmas = np.asarray(args.sigmas)
-    curves = {d: bimodal_error_curve(args.m, args.q, d, sigmas, args.n_quad) for d in args.dims}
-    with open(args.out, "w") as f:
-        f.write("sigma," + ",".join(f"E_d{d}" for d in args.dims) + "\n")
-        for i, s in enumerate(sigmas):
-            f.write(f"{s:.17g}," + ",".join(f"{curves[d][i]:.17g}" for d in args.dims) + "\n")
+    curves = [bimodal_error_curve(args.m, args.q, d, sigmas, args.n_quad) for d in args.dims]
+    np.savetxt(args.out, np.column_stack([sigmas, *curves]), delimiter=",", fmt="%.17g",
+               comments="", header=",".join(["sigma", *(f"E_d{d}" for d in args.dims)]))
     _write_sidecar(args)
 
 

@@ -9,7 +9,7 @@ trajectory's NFE is that count and is kept nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -245,14 +245,9 @@ def teleport_sample(
         raise InvalidInput(f"skip_mode must be 'grid-aligned' or 'regrid', got {skip_mode!r}")
 
     traj = heun_sample(model, sub, x_skip)
-    meta = dict(traj.metadata)
-    meta.update(
-        sampler="teleport",
-        sigma_skip=float(sigma_skip),
-        skip_mode=skip_mode,
-        skipped_levels=skipped,
-    )
-    return Trajectory(traj.t, traj.sigma, traj.alpha, traj.states, traj.denoised, meta)
+    return replace(traj, metadata={**traj.metadata, "sampler": "teleport",
+                                   "sigma_skip": float(sigma_skip), "skip_mode": skip_mode,
+                                   "skipped_levels": skipped})
 
 
 def ddim_style_sample(

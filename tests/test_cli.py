@@ -6,8 +6,17 @@ import pytest
 
 import scorefield.cli as cli
 from scorefield.cli import run
-from scorefield.samplers import load_trajectory_csv
-from scorefield.spectrum import load_cloud
+from scorefield.models import DeltaMixtureModel, GaussianModel, IsotropicModel
+from scorefield.samplers import (
+    ddim_style_sample,
+    heun_sample,
+    load_trajectory_csv,
+    rk4_sample,
+    save_trajectory_csv,
+    teleport_sample,
+)
+from scorefield.schedules import parse_grid_spec, parse_schedule_spec
+from scorefield.spectrum import estimate_moments, load_cloud, spectrum_from_cloud
 
 
 @pytest.fixture
@@ -74,13 +83,42 @@ class TestSample:
         traj = load_trajectory_csv(out_a / "traj_0000.csv")
         assert traj.sigma[0] == 10.0 and traj.sigma[-1] == 0.01
 
-    def test_worker_cap_env(self, tmp_path, cloud_file, monkeypatch):
-        monkeypatch.setenv("GSL_THREADS", "1")
-        out = tmp_path / "serial"
-        assert run(["sample", "--model", f"delta:{cloud_file}", "--sampler", "heun",
-                    "--grid", "0.01:10:7:8", "--n", "2", "--seed", "1",
-                    "--out", str(out)]) == 0
-        assert (out / "traj_0001.csv").exists()
+    @pytest.mark.parametrize("sampler, kind", [
+        ("heun", "delta"), ("rk4", "gaussian"), ("ddim", "iso"), ("teleport", "delta"),
+    ])
+    def test_seed_contract(self, tmp_path, cloud_file, sampler, kind):
+        """``traj_<i>.csv`` holds the library sampler run from sigma_T times
+        the standard normal draw of child i of ``SeedSequence(--seed)``,
+        however the ensemble is scheduled."""
+        n, seed, grid_spec, schedule_spec = 3, 11, "0.01:10:7:8", "vp:0.1:20:1"
+        cloud = load_cloud(cloud_file)
+        model = {"delta": DeltaMixtureModel(cloud),
+                 "gaussian": GaussianModel(spectrum_from_cloud(cloud)),
+                 "iso": IsotropicModel(estimate_moments(cloud)[0])}[kind]
+        grid, schedule = parse_grid_spec(grid_spec), parse_schedule_spec(schedule_spec)
+        sigma_T, sample = {
+            "heun": (grid.levels[0], lambda x: heun_sample(model, grid, x)),
+            "rk4": (grid.levels[0], lambda x: rk4_sample(
+                model, float(grid.levels[0]), float(grid.levels[-1]), 30, x,
+                record_levels=grid.levels)),
+            "ddim": (float(schedule.sigma(schedule.T)),
+                     lambda x: ddim_style_sample(model, schedule, 30, x)),
+            "teleport": (grid.levels[0], lambda x: teleport_sample(
+                model, spectrum_from_cloud(cloud), grid, 2.0, x, skip_mode="regrid")),
+        }[sampler]
+        if sampler == "teleport":
+            argv = ["teleport", "--cloud", str(cloud_file), "--skip", "2.0",
+                    "--skip-mode", "regrid"]
+        else:
+            argv = ["sample", "--sampler", sampler, "--schedule", schedule_spec, "--steps", "30"]
+        out = tmp_path / "out"
+        assert run([*argv, "--model", f"{kind}:{cloud_file}", "--grid", grid_spec,
+                    "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
+            x_T = sigma_T * np.random.default_rng(child).standard_normal(model.dim)
+            expected = tmp_path / f"expected_{i}.csv"
+            save_trajectory_csv(sample(x_T), expected)
+            assert (out / f"traj_{i:04d}.csv").read_bytes() == expected.read_bytes()
 
     def test_rk4_and_ddim(self, tmp_path, cloud_file):
         assert run(["sample", "--model", f"gaussian:{cloud_file}", "--sampler", "rk4",
@@ -219,6 +257,11 @@ class TestBimodal:
         assert lines[0] == "sigma,E_d1,E_d16"
         assert len(lines) == 3
 
+    def test_no_dims_writes_sigma_column(self, tmp_path):
+        out = tmp_path / "bimodal.csv"
+        assert run(["bimodal", "--dims", ",", "--sigmas", "2,4", "--out", str(out)]) == 0
+        assert out.read_text() == "sigma\n2\n4\n"
+
 
 class TestSidecar:
     @pytest.mark.parametrize("command", [
@@ -291,6 +334,12 @@ class TestConfig:
         argv = [*argv, "--out", str(tmp_path / "out")]
         assert self._run(tmp_path, argv, cfg) == code
         assert message in capsys.readouterr().err
+
+    def test_invalid_json_names_path(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{n: 3}")
+        assert run(["sample", "--out", str(tmp_path / "out"), "--config", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
 
 
 class TestErrors:

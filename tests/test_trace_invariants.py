@@ -49,3 +49,31 @@ def test_sampler_model_calls_equal_trajectory_nfe(tmp_path):
     assert cli.ThreadPoolExecutor is pool
     assert metrics["samplers.trajectories"] == 5
     assert metrics["samplers.model_calls"] == metrics["samplers.nfe"] == 45
+
+
+def test_ddim_and_rk4_model_calls_equal_trajectory_nfe(tmp_path):
+    trace = load_tracer()
+    cloud, model = tmp_path / "cloud.bin", tmp_path / "gmm.json"
+    assert run(["gen-synthetic", "--kind", "gmm", "--d", "4", "--n", "200", "--k", "2",
+                "--seed", "1", "--out", str(cloud)]) == 0
+    assert run(["fit-gmm", "--input", str(cloud), "--k", "2", "--rank", "2", "--seed", "1",
+                "--out", str(model)]) == 0
+    tracer = trace.Tracer()
+    tracer.install()
+    try:
+        # DDIM: one model call per step, four steps per trajectory.
+        assert run(["sample", "--model", str(model), "--sampler", "ddim", "--steps", "4",
+                    "--n", "2", "--seed", "2", "--out", str(tmp_path / "ddim")]) == 0
+        ddim = trace.summarize(tracer.take(), tracer.fingerprint)
+        # RK4 with one substep: each of the five grid segments takes one
+        # substep of four model calls, so 20 per trajectory.
+        assert run(["sample", "--model", str(model), "--sampler", "rk4", "--steps", "1",
+                    "--grid", "0.01:10:7:6", "--n", "3", "--seed", "3",
+                    "--out", str(tmp_path / "rk4")]) == 0
+        rk4 = trace.summarize(tracer.take(), tracer.fingerprint)
+    finally:
+        tracer.uninstall()
+    assert ddim["samplers.trajectories"] == 2
+    assert ddim["samplers.model_calls"] == ddim["samplers.nfe"] == 8
+    assert rk4["samplers.trajectories"] == 3
+    assert rk4["samplers.model_calls"] == rk4["samplers.nfe"] == 60
