@@ -21,7 +21,7 @@ from .models import ScoreModel
 from .samplers import Trajectory
 from .schedules import NoiseSchedule
 from .solution import perturbation_gain, psi_vp, xi_vp
-from .spectrum import PointCloud
+from .spectrum import PointCloud, _save_table
 
 __all__ = [
     "UnexplainedVarianceStats",
@@ -51,10 +51,17 @@ class UnexplainedVarianceStats:
     values: np.ndarray
 
 
-def draw_probes(dim: int, sigma: float, n_probe: int, rng, probe_dist: str = "gaussian",
-                cloud: PointCloud | None = None) -> np.ndarray:
-    """Probe points: origin-centered N(0, sigma^2 I), or cloud points with
-    sigma-scaled noise added ("noised-cloud")."""
+def probe_points(dim: int, sigma: float, n_probe: int, seed=0, probe_dist: str = "gaussian",
+                 cloud: PointCloud | None = None) -> np.ndarray:
+    """Validated probe set of ``unexplained_variance``: ``n_probe`` points
+    from a generator seeded with ``seed``, either origin-centered
+    N(0, sigma^2 I) or cloud points with sigma-scaled noise added
+    ("noised-cloud")."""
+    if sigma <= 0:
+        raise InvalidNoise(f"sigma must be positive, got {sigma}")
+    if n_probe < 1:
+        raise InvalidInput(f"n_probe must be >= 1, got {n_probe}")
+    rng = np.random.default_rng(seed)
     if probe_dist == "gaussian":
         return sigma * rng.standard_normal((n_probe, dim))
     if probe_dist == "noised-cloud":
@@ -63,17 +70,6 @@ def draw_probes(dim: int, sigma: float, n_probe: int, rng, probe_dist: str = "ga
         idx = rng.integers(cloud.n_samples, size=n_probe)
         return cloud.data[idx] + sigma * rng.standard_normal((n_probe, dim))
     raise InvalidInput(f"unknown probe_dist {probe_dist!r}")
-
-
-def probe_points(dim: int, sigma: float, n_probe: int, seed=0, probe_dist: str = "gaussian",
-                 cloud: PointCloud | None = None) -> np.ndarray:
-    """Validated probe set of ``unexplained_variance``: ``n_probe`` points
-    drawn by ``draw_probes`` from a generator seeded with ``seed``."""
-    if sigma <= 0:
-        raise InvalidNoise(f"sigma must be positive, got {sigma}")
-    if n_probe < 1:
-        raise InvalidInput(f"n_probe must be >= 1, got {n_probe}")
-    return draw_probes(dim, sigma, n_probe, np.random.default_rng(seed), probe_dist, cloud)
 
 
 def ratio_stats(s_ref: np.ndarray, s_app: np.ndarray, sigma: float) -> UnexplainedVarianceStats:
@@ -181,8 +177,7 @@ class CurveTable:
             tag = f"{lam:g}"
             header += [f"psi_{tag}", f"xi_norm_{tag}", f"dxi_dt_{tag}", f"gain_{tag}"]
             cols += [self.psi[i], self.xi_norm[i], self.dxi_dt[i], self.gain[i]]
-        np.savetxt(path, np.column_stack(cols), delimiter=",", fmt="%.17g",
-                   header=",".join(header), comments="")
+        _save_table(path, np.column_stack(cols), ",".join(header))
 
 
 def analytical_curves(schedule: NoiseSchedule, lambdas, t_grid) -> CurveTable:
@@ -253,8 +248,7 @@ class SliceField:
             self.s_v[model_index].ravel(),
             self.norm[model_index].ravel(),
         ])
-        np.savetxt(path, body, delimiter=",", fmt="%.17g",
-                   header=f"# anchors_uv={anchors}\nu,v,s_u,s_v,norm", comments="")
+        _save_table(path, body, f"# anchors_uv={anchors}\nu,v,s_u,s_v,norm")
 
 
 def slice_field(models, anchors, sigma: float, grid_n: int = 40, extent: float | None = None) -> SliceField:

@@ -40,7 +40,7 @@ from .samplers import (
     teleport_sample,
 )
 from .schedules import parse_grid_spec, parse_schedule_spec
-from .spectrum import estimate_moments, load_cloud, save_cloud, spectrum_from_cloud
+from .spectrum import _save_table, estimate_moments, load_cloud, save_cloud, spectrum_from_cloud
 from .synthetic import generate_cloud
 
 
@@ -78,28 +78,32 @@ def _load_model_spec(spec: str, clouds: dict):
     return load_model(spec)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _rank(text: str):
+    """A covariance rank: an integer, or ``full`` (None)."""
+    text = text.strip()
+    if text == "full":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid rank {text!r}: not an integer or full") from None
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _comma_list(convert):
+    """argparse type of a comma-separated list of ``convert`` values, empty
+    items skipped. argparse names the type by its ``__name__`` in errors."""
+    def parse(text: str) -> list:
+        return [convert(v) for v in text.split(",") if v.strip()]
+    parse.__name__ = f"{convert.__name__} list"
+    return parse
 
 
-def _parse_ranks(text: str) -> list:
-    out = []
-    for v in text.split(","):
-        v = v.strip()
-        if not v:
-            continue
-        out.append(None if v == "full" else int(v))
-    return out
-
-
-def _config_tokens(path: str) -> list[str]:
+def _config_tokens(parser, path: str, options) -> list[str]:
     """A JSON config object as ``--key=value`` tokens, parsed like flags.
-    Keys are long option names (``-`` or ``_``); ``null`` values are left
-    out, so the option keeps its default."""
+    Keys are long option names (``-`` or ``_``) and must name one of
+    ``options`` exactly, since argparse would accept a prefix; any other key
+    is a usage error. ``null`` values are left out, so the option keeps its
+    default."""
     with open(path) as f:
         try:
             cfg = json.load(f)
@@ -107,6 +111,9 @@ def _config_tokens(path: str) -> list[str]:
             raise ScoreFieldError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ScoreFieldError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
+    for key in cfg:
+        if key.replace("-", "_") not in options:
+            parser.error(f"config {path}: unknown option --{key.replace('_', '-')}")
     return [f"--{key.replace('_', '-')}={value if isinstance(value, str) else json.dumps(value)}"
             for key, value in cfg.items() if value is not None]
 
@@ -141,9 +148,8 @@ def cmd_gen_synthetic(args) -> None:
 def cmd_fit_gmm(args) -> None:
     _require(args, "input", "out")
     cloud = load_cloud(args.input)
-    rank = None if args.rank == "full" else int(args.rank)
     km = minibatch_kmeans_full(cloud, args.k, args.batch, args.seed, args.max_iter)
-    save_model(gmm_from_assignments(cloud, km.assignments, rank), args.out)
+    save_model(gmm_from_assignments(cloud, km.assignments, args.rank), args.out)
     _write_sidecar(args, iterations=km.iterations, inertia=km.inertia)
 
 
@@ -206,8 +212,8 @@ def cmd_compare(args) -> None:
         st = unexplained_variance(ref, approx, s, args.probes, seed=seed,
                                   probe_dist=args.probe_dist, cloud=cloud)
         rows.append((s, st.mean, st.q25, st.q75, st.ratio_of_sums, st.n_excluded))
-    np.savetxt(args.out, np.reshape(rows, (-1, 6)), delimiter=",", fmt="%.17g", comments="",
-               header="sigma,mean_uv,q25,q75,ratio_of_sums,n_excluded")
+    _save_table(args.out, np.reshape(rows, (-1, 6)),
+                "sigma,mean_uv,q25,q75,ratio_of_sums,n_excluded")
     _write_sidecar(args, ref_hash=model_fingerprint(ref), approx_hash=model_fingerprint(approx))
 
 
@@ -249,8 +255,8 @@ def cmd_bimodal(args) -> None:
     _require(args, "sigmas", "out")
     sigmas = np.asarray(args.sigmas)
     curves = [bimodal_error_curve(args.m, args.q, d, sigmas, args.n_quad) for d in args.dims]
-    np.savetxt(args.out, np.column_stack([sigmas, *curves]), delimiter=",", fmt="%.17g",
-               comments="", header=",".join(["sigma", *(f"E_d{d}" for d in args.dims)]))
+    _save_table(args.out, np.column_stack([sigmas, *curves]),
+                ",".join(["sigma", *(f"E_d{d}" for d in args.dims)]))
     _write_sidecar(args)
 
 
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid = {"default": "0.002:80:7:18", "help": "noise grid sigma_min:sigma_max:rho:n"}
     schedule = {"default": "vp:0.1:20:1", "help": "noise schedule spec"}
     count = {"type": int, "default": 1, "help": "number of trajectories"}
-    sigmas = {"type": _parse_floats, "help": "comma-separated noise levels (required)"}
+    sigmas = {"type": _comma_list(float), "help": "comma-separated noise levels (required)"}
     probes = {"type": int, "default": 256, "help": "probe points per noise level"}
     batch = {"type": int, "default": 2048, "help": "k-means mini-batch size"}
     max_iter = {"type": int, "default": 100, "help": "k-means iteration cap"}
@@ -294,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("fit-gmm", cmd_fit_gmm,
         input={"help": "point-cloud file (required)"},
         k={"type": int, "default": 1, "help": "mixture components"},
-        rank={"default": "full", "help": "covariance rank per component, or full"},
+        rank={"type": _rank, "default": "full", "help": "covariance rank per component, or full"},
         seed=seed, batch=batch, max_iter=max_iter, out=out)
     add("sample", cmd_sample,
         model=model,
@@ -317,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         cloud={"help": "cloud of the noised-cloud probes"}, out=out)
     add("sweep", cmd_sweep,
         cloud={"help": "training cloud (required)"},
-        k_list={"type": _parse_ints, "help": "comma-separated mode counts (required)"},
-        rank_list={"type": _parse_ranks, "help": "comma-separated ranks or full (required)"},
+        k_list={"type": _comma_list(int), "help": "comma-separated mode counts (required)"},
+        rank_list={"type": _comma_list(_rank), "help": "comma-separated ranks or full (required)"},
         sigmas=sigmas, probes=probes, seed=seed,
         reference={"default": "delta", "help": "reference: delta on the cloud, or a model spec"},
         batch=batch, max_iter=max_iter, out=out)
@@ -331,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
         out=out)
     add("curves", cmd_curves,
         schedule=schedule,
-        lambdas={"type": _parse_floats, "default": "0.04,1,25",
+        lambdas={"type": _comma_list(float), "default": "0.04,1,25",
                  "help": "comma-separated eigenvalues"},
         n_t={"type": int, "default": 1001, "help": "time points"}, out=out)
     add("bimodal", cmd_bimodal,
         m={"type": float, "default": 4.0, "help": "mode separation"},
         q={"type": float, "default": 0.1, "help": "mode width"},
-        dims={"type": _parse_ints, "default": "1,16,256", "help": "comma-separated dimensions"},
+        dims={"type": _comma_list(int), "default": "1,16,256", "help": "comma-separated dimensions"},
         sigmas=sigmas,
         n_quad={"type": int, "default": 200, "help": "quadrature points"}, out=out)
     return parser
@@ -353,7 +359,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
+            tokens = _config_tokens(parser, args.config, vars(args))
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
         args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

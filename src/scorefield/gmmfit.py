@@ -75,7 +75,6 @@ def minibatch_kmeans_full(
     batch: int = DEFAULT_BATCH,
     seed: int = 0,
     max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = CENTER_SHIFT_TOL,
 ) -> KMeansResult:
     """Mini-batch k-means (Sculley 2010, "Web-scale k-means clustering").
 
@@ -115,7 +114,7 @@ def minibatch_kmeans_full(
         centers[hit] = (counts[hit, None] * centers[hit] + sums) / total[:, None]
         counts[hit] = total
         shift = np.max(np.einsum("kd,kd->k", centers - previous, centers - previous))
-        if shift < tol**2:
+        if shift < CENTER_SHIFT_TOL**2:
             break
 
     assignments = np.argmin(_sq_dists(data, centers), axis=1)

@@ -17,7 +17,7 @@ from .errors import InvalidInput, InvalidSkip, NumericalBlowup
 from .models import ScoreModel
 from .schedules import NoiseGrid, NoiseSchedule, karras_grid
 from .solution import SolutionContext, solve_state
-from .spectrum import CompactSpectrum
+from .spectrum import CompactSpectrum, _save_table
 
 __all__ = [
     "Trajectory",
@@ -29,7 +29,6 @@ __all__ = [
     "save_trajectory_csv",
     "load_trajectory_csv",
 ]
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -146,14 +145,13 @@ def rk4_sample(
     n_sub: int,
     x_start: np.ndarray,
     record_levels=None,
-    sigma_eval_floor: float = 1e-8,
 ) -> Trajectory:
     """Classical fixed-step RK4 on dx/dsigma = -sigma s(x, sigma).
 
     ``n_sub`` substeps are spread uniformly in sigma over the whole interval;
     requested ``record_levels`` (descending, within [sigma_end, sigma_start])
     are hit exactly by splitting the interval there. Score evaluations floor
-    sigma at ``sigma_eval_floor`` so sigma_end = 0 is integrable.
+    sigma at 1e-8 so sigma_end = 0 is integrable.
     """
     if sigma_start < sigma_end or sigma_end < 0:
         raise InvalidInput(f"need sigma_start >= sigma_end >= 0, got ({sigma_start}, {sigma_end})")
@@ -175,7 +173,7 @@ def rk4_sample(
         # -sigma s(x, sigma) with the score evaluated no lower than the floor;
         # keeping the true sigma multiplier damps the off-manifold 1/sigma
         # blowup as sigma -> 0 instead of amplifying it.
-        s_eval = max(sigma, sigma_eval_floor)
+        s_eval = max(sigma, 1e-8)
         return (sigma / s_eval**2) * (xv - model.denoise(xv, s_eval))
 
     def step(model, x, seg):
@@ -202,7 +200,6 @@ def teleport_sample(
     sigma_skip: float,
     x_T: np.ndarray,
     skip_mode: str = "grid-aligned",
-    n_regrid: int | None = None,
 ) -> Trajectory:
     """Hybrid sampling: one Gaussian closed-form jump, then Heun.
 
@@ -217,7 +214,7 @@ def teleport_sample(
     In ``grid-aligned`` mode sigma_skip must be one of the grid levels, whose
     prefix is skipped (skipping i levels saves 2i NFE); in ``regrid`` mode the
     remaining range [sigma_min, sigma_skip] is re-gridded with the same
-    power-law rule.
+    power-law rule and the grid's number of levels.
     """
     levels = grid.levels
     sigma_max, sigma_min = levels[0], levels[-1]
@@ -238,8 +235,7 @@ def teleport_sample(
         sub = grid.truncate_from(idx)
         skipped = idx
     elif skip_mode == "regrid":
-        n = n_regrid if n_regrid is not None else grid.n_step
-        sub = karras_grid(float(sigma_min), float(sigma_skip), grid.rho, n)
+        sub = karras_grid(float(sigma_min), float(sigma_skip), grid.rho, grid.n_step)
         skipped = None
     else:
         raise InvalidInput(f"skip_mode must be 'grid-aligned' or 'regrid', got {skip_mode!r}")
@@ -324,14 +320,7 @@ def save_trajectory_csv(traj: Trajectory, path, projection=None, include_denoise
             raise InvalidInput("trajectory has no denoised records to export")
         cols.extend(den[:, j] for j in range(d))
         header.extend(f"d{j}" for j in range(d))
-    np.savetxt(
-        path,
-        np.column_stack(cols),
-        delimiter=",",
-        fmt="%.17g",
-        header=",".join(header),
-        comments="",
-    )
+    _save_table(path, np.column_stack(cols), ",".join(header))
 
 
 def load_trajectory_csv(path) -> Trajectory:

@@ -57,9 +57,9 @@ class NoiseGrid:
     def __len__(self) -> int:
         return self.levels.size
 
-    def index_of(self, sigma: float, rtol: float = 1e-9) -> int | None:
-        """Index of the grid level equal to sigma within rtol, else None."""
-        hits = np.nonzero(np.isclose(self.levels, sigma, rtol=rtol, atol=0.0))[0]
+    def index_of(self, sigma: float) -> int | None:
+        """Index of the grid level equal to sigma within a relative 1e-9, else None."""
+        hits = np.nonzero(np.isclose(self.levels, sigma, rtol=1e-9, atol=0.0))[0]
         return int(hits[0]) if hits.size else None
 
     def truncate_from(self, index: int) -> "NoiseGrid":
@@ -219,28 +219,22 @@ def convert_notation(framework: str, params: dict) -> NoiseSchedule:
 
     * ``"EDM"``: params {sigma_min, sigma_max}; alpha = 1, sigma_t = t.
     * ``"EDM-with-scaling"``: params {scale, sigma} as callables s(t), sigma(t)
-      plus {T}; alpha_t = s(t), sigma_t = s(t) sigma(t).
+      plus {T}; alpha_t = s(t), sigma_t = s(t) sigma(t), tabulated at
+      2049 evenly spaced times in [0, T].
     * ``"VP"``: params {beta_min, beta_max, T}; returns the VP schedule itself.
     * ``"DDPM-discrete"``: params {alpha_bar}; step index t maps to
       alpha_t = sqrt(alpha_bar_t), sigma_t = sqrt(1 - alpha_bar_t).
     """
     key = framework.strip().lower().replace("_", "-")
-    if key == "edm":
-        return EdmSchedule(
-            float(params.get("sigma_min", 0.002)), float(params.get("sigma_max", 80.0))
-        )
+    if key in ("edm", "vp"):
+        return schedule_from_config({**params, "kind": key})
     if key == "edm-with-scaling":
         scale = params["scale"]
         sigma = params["sigma"]
-        horizon = float(params["T"])
-        t = np.linspace(0.0, horizon, int(params.get("n_table", 2049)))
+        t = np.linspace(0.0, float(params["T"]), 2049)
         s_t = np.asarray([float(scale(v)) for v in t])
         sig_t = np.asarray([float(sigma(v)) for v in t])
         return TableSchedule(t, s_t, s_t * sig_t)
-    if key == "vp":
-        return VpSchedule(
-            float(params["beta_min"]), float(params["beta_max"]), float(params.get("T", 1.0))
-        )
     if key == "ddpm-discrete":
         alpha_bar = np.asarray(params["alpha_bar"], dtype=np.float64)
         if np.any(alpha_bar <= 0) or np.any(alpha_bar > 1):
@@ -284,7 +278,7 @@ def parse_grid_spec(spec: str) -> NoiseGrid:
     parts = spec.split(":")
     if len(parts) != 4:
         raise InvalidInput(f"grid spec must be 'sigma_min:sigma_max:rho:n', got {spec!r}")
-    return karras_grid(float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3]))
+    return grid_from_config(dict(zip(("sigma_min", "sigma_max", "rho", "n_step"), parts)))
 
 
 def parse_schedule_spec(spec: str) -> NoiseSchedule:

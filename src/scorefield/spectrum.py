@@ -285,6 +285,13 @@ def manifold_split(
 # Point-cloud file formats
 # ---------------------------------------------------------------------------
 
+def _save_table(path, table, header: str = "") -> None:
+    """The one numeric-CSV writer: comma-separated ``%.17g`` values, which
+    read back as the same float64 bits, after an optional header line that
+    has no comment prefix."""
+    np.savetxt(path, table, delimiter=",", fmt="%.17g", header=header, comments="")
+
+
 def save_cloud_csv(cloud: PointCloud, path, with_labels: bool = False) -> None:
     """Write one sample per row; labels, if requested, as a final integer column."""
     if with_labels and cloud.labels is None:
@@ -293,7 +300,7 @@ def save_cloud_csv(cloud: PointCloud, path, with_labels: bool = False) -> None:
         out = np.column_stack([cloud.data, cloud.labels.astype(np.float64)])
     else:
         out = cloud.data
-    np.savetxt(path, out, delimiter=",", fmt="%.17g")
+    _save_table(path, out)
 
 
 def load_cloud_csv(path, with_labels: bool = False) -> PointCloud:

@@ -67,6 +67,11 @@ class TestFitGmm:
         assert run(["fit-gmm", "--input", str(cloud_file), "--k", "1", "--rank", "full",
                     "--seed", "0", "--out", str(out)]) == 0
 
+    def test_bad_rank_is_usage_error(self, tmp_path, cloud_file, capsys):
+        assert run(["fit-gmm", "--input", str(cloud_file), "--rank", "abc",
+                    "--out", str(tmp_path / "model.json")]) == 2
+        assert "--rank" in capsys.readouterr().err
+
 
 class TestSample:
     def test_heun_run_and_reproducibility(self, tmp_path, cloud_file):
@@ -327,6 +332,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("argv, cfg, code, message", [
         pytest.param(["sample"], {"samplr": "rk4"}, 2, "--samplr", id="unknown-key"),
+        pytest.param(["sample"], {"samp": "rk4", "st": 3}, 2, "--samp", id="prefix-key"),
         pytest.param(["compare"], {"sigmas": [0.5, 2]}, 2, "--sigmas", id="list-value"),
         pytest.param(["sample"], [1, 2], 1, "must hold a JSON object", id="not-an-object"),
     ])

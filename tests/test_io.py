@@ -1,4 +1,6 @@
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scorefield.models import (
     IsotropicModel,
     MixtureModel,
     load_model,
+    model_fingerprint,
     model_from_json,
     model_to_json,
     save_model,
@@ -19,6 +22,7 @@ from scorefield.samplers import Trajectory, load_trajectory_csv, save_trajectory
 from scorefield.spectrum import (
     CompactSpectrum,
     PointCloud,
+    _save_table,
     load_cloud,
     load_cloud_binary,
     load_cloud_csv,
@@ -192,6 +196,64 @@ class TestModelJson:
     def test_delta_requires_cloud_path(self):
         with pytest.raises(InvalidData):
             model_to_json(DeltaMixtureModel(sample_cloud()))
+
+
+def fingerprint_models(tmp_path):
+    """One model of each variant, the delta model saved by cloud reference."""
+    cloud = sample_cloud(labels=False)
+    save_cloud(cloud, str(tmp_path / "cloud.bin"))
+    spec = sample_spectrum()
+    mix = (GaussianComponent(0.25, spec), GaussianComponent(0.75, sample_spectrum()))
+    return {"isotropic": IsotropicModel(np.array([1.0, -2.0])), "gaussian": GaussianModel(spec),
+            "mixture": MixtureModel(mix), "delta": DeltaMixtureModel(cloud)}
+
+
+class TestModelFingerprint:
+    @pytest.mark.parametrize("variant", ["isotropic", "gaussian", "mixture", "delta"])
+    def test_survives_json_roundtrip(self, tmp_path, variant):
+        model = fingerprint_models(tmp_path)[variant]
+        path = tmp_path / "m.json"
+        save_model(model, path, cloud_path="cloud.bin" if variant == "delta" else None)
+        assert model_fingerprint(load_model(path)) == model_fingerprint(model)
+
+    def test_changes_with_one_entry(self, tmp_path):
+        models = fingerprint_models(tmp_path)
+        spec = models["gaussian"].spectrum
+        eigs = spec.eigenvalues.copy()
+        eigs[0] = np.nextafter(eigs[0], np.inf)
+        comps = models["mixture"].components
+        weight = np.nextafter(comps[0].weight, 1.0)
+        data = models["delta"].cloud.data.copy()
+        data[3, 1] = np.nextafter(data[3, 1], np.inf)
+        for before, after in [
+            (models["gaussian"], GaussianModel(CompactSpectrum(spec.mean, spec.basis, eigs))),
+            (models["mixture"], MixtureModel((GaussianComponent(weight, comps[0].spectrum),
+                                              comps[1]))),
+            (models["delta"], DeltaMixtureModel(PointCloud(data))),
+        ]:
+            assert model_fingerprint(after) != model_fingerprint(before)
+
+    def test_pinned_digest(self):
+        spec = CompactSpectrum(np.array([1.0, -2.0]), np.array([[0.6], [0.8]]), np.array([3.0]))
+        digest = "be9c63de19d6c0df2ef2916beeae41773511d8cf340446815119334b0e37867c"
+        assert model_fingerprint(GaussianModel(spec)) == digest
+
+
+class TestTableWriter:
+    def test_extreme_floats_read_back_bitwise(self, tmp_path):
+        table = np.array([[5e-324, -0.0, 1.7976931348623157e308, 1.0 / 3.0],
+                          [-5e-324, 0.0, -1.7976931348623157e308, -1.0 / 3.0]])
+        path = tmp_path / "t.csv"
+        _save_table(path, table, "a,b,c,d")
+        assert path.read_text().splitlines()[0] == "a,b,c,d"
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(back.view(np.uint64), table.view(np.uint64))
+
+    def test_only_numeric_csv_writer(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "scorefield"
+        calls = {p.name: p.read_text().count("savetxt(") for p in src.glob("*.py")}
+        assert sum(calls.values()) == 1, calls
+        assert "savetxt(" in inspect.getsource(_save_table)
 
 
 class TestTrajectoryCsv:
