@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import DegeneratePlane, GridMismatch, InvalidInput, InvalidNoise, NumericalBlowup
 from .models import ScoreModel
@@ -324,6 +323,10 @@ def bimodal_error_curve(m: float, q: float, D: int, sigma_grid, n_quad: int = 20
         raise InvalidInput(f"need m > 0, q >= 0, D >= 1, got ({m}, {q}, {D})")
     if n_quad < 64:
         raise InvalidInput(f"n_quad must be >= 64, got {n_quad}")
+    # Imported here, not at module level: scipy.special is large and slow to
+    # import, and no other command needs it.
+    from scipy.special import roots_hermite
+
     nodes, weights = roots_hermite(n_quad)
     sigma_grid = np.asarray(sigma_grid, dtype=np.float64).reshape(-1)
     out = np.empty(sigma_grid.size)

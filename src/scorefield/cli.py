@@ -40,7 +40,7 @@ from .samplers import (
     teleport_sample,
 )
 from .schedules import parse_grid_spec, parse_schedule_spec
-from .spectrum import _save_table, estimate_moments, load_cloud, save_cloud, spectrum_from_cloud
+from .spectrum import _save_table, load_cloud, save_cloud, spectrum_from_cloud
 from .synthetic import generate_cloud
 
 
@@ -74,7 +74,7 @@ def _load_model_spec(spec: str, clouds: dict):
             return GaussianModel(spectrum_from_cloud(cloud))
         if kind == "delta":
             return DeltaMixtureModel(cloud)
-        return IsotropicModel(estimate_moments(cloud)[0])
+        return IsotropicModel(cloud.data.mean(axis=0))
     return load_model(spec)
 
 
@@ -372,3 +372,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -557,7 +557,7 @@ def model_fingerprint(model: ScoreModel) -> str:
             for arr in (c.spectrum.mean, c.spectrum.eigenvalues, c.spectrum.basis):
                 h.update(np.ascontiguousarray(arr).tobytes())
     elif isinstance(model, DeltaMixtureModel):
-        h.update(model.cloud.data.tobytes())
+        h.update(model.cloud.data)  # the contiguous buffer, not a copy
     return h.hexdigest()
 
 

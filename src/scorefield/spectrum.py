@@ -38,6 +38,9 @@ __all__ = [
 
 _BINARY_MAGIC = b"PCLD1"
 
+# Element budget (8 MiB) of the centered row chunk in ``estimate_moments``.
+_MOMENT_BLOCK = 1 << 20
+
 
 def _frozen_array(a, dtype=np.float64):
     out = np.ascontiguousarray(a, dtype=dtype)
@@ -153,7 +156,12 @@ def estimate_moments(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     Uses the two-pass formula: mean first, then the centered second moment
     ``(1/N) sum (y - mu)(y - mu)^T``, algebraically equal to
     ``(1/N) sum y y^T - mu mu^T`` but numerically stabler. The population
-    (1/N) convention keeps tr Sigma identities exact.
+    (1/N) convention keeps tr Sigma identities exact. The second pass
+    centers ``max(1, _MOMENT_BLOCK // D)`` rows at a time and sums their
+    ``(y - mu)^T (y - mu)`` products, so beyond the cloud it holds one
+    centered chunk and the D x D result. A cloud within one chunk is one
+    product, bitwise equal to ``(y - mu)^T (y - mu) / N``; over several
+    chunks the sum reassociates, to within rounding.
 
     Returns
     -------
@@ -165,8 +173,15 @@ def estimate_moments(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
         cloud = PointCloud(np.asarray(cloud))
     y = cloud.data
     mean = y.mean(axis=0)
-    centered = y - mean
-    cov = centered.T @ centered / y.shape[0]
+    step = max(1, _MOMENT_BLOCK // y.shape[1])
+    buf = rows = y[:step] - mean
+    cov = rows.T @ rows
+    for start in range(step, y.shape[0], step):
+        chunk = y[start:start + step]
+        rows = np.subtract(chunk, mean, out=buf[: chunk.shape[0]])
+        cov += rows.T @ rows
+    del buf, rows  # release the chunk before the D x D temporaries below
+    cov /= y.shape[0]
     cov = 0.5 * (cov + cov.T)
     return mean, cov
 

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scorefield
 import scorefield.cli as cli
 from scorefield.cli import run
 from scorefield.models import DeltaMixtureModel, GaussianModel, IsotropicModel
@@ -408,3 +412,33 @@ class TestErrors:
 
     def test_missing_required_option_exit_1(self, tmp_path):
         assert run(["fit-gmm", "--k", "1", "--out", str(tmp_path / "m.json")]) == 1
+
+
+def run_python(args, cwd):
+    """Run ``python <args>`` in a fresh interpreter that imports this scorefield."""
+    src = str(Path(scorefield.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestModuleEntryPoint:
+    def test_bad_config_exits_1(self, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("{not json")
+        proc = run_python(["-m", "scorefield.cli", "sample", "--config", str(cfg),
+                           "--out", "x"], tmp_path)
+        assert proc.returncode == 1
+        assert "bad.json" in proc.stderr
+        assert not (tmp_path / "x").exists()
+
+    def test_version(self, tmp_path):
+        proc = run_python(["-m", "scorefield.cli", "--version"], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == scorefield.__version__
+
+    def test_import_leaves_scipy_special_unloaded(self, tmp_path):
+        proc = run_python(["-c", "import scorefield.cli, sys; "
+                                 "sys.exit('scipy.special' in sys.modules)"], tmp_path)
+        assert proc.returncode == 0, proc.stderr

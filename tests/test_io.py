@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,16 @@ class TestModelFingerprint:
             (models["delta"], DeltaMixtureModel(PointCloud(data))),
         ]:
             assert model_fingerprint(after) != model_fingerprint(before)
+
+    def test_delta_hashes_cloud_in_place(self):
+        model = DeltaMixtureModel(PointCloud(np.random.default_rng(2).standard_normal((20000, 16))))
+        tracemalloc.start()
+        try:
+            model_fingerprint(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.cloud.data.nbytes / 100
 
     def test_pinned_digest(self):
         spec = CompactSpectrum(np.array([1.0, -2.0]), np.array([[0.6], [0.8]]), np.array([3.0]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from scorefield.errors import EmptyInput, InvalidData, ShapeError
 from scorefield.spectrum import (
+    _MOMENT_BLOCK,
     CompactSpectrum,
     PointCloud,
     compact_spectrum,
@@ -66,6 +69,54 @@ class TestEstimateMoments:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidData):
             PointCloud([[1.0, np.nan]])
+
+
+def one_shot_moments(data):
+    """The single-GEMM estimate: (y - mu)^T (y - mu) / N over the whole cloud."""
+    mean = data.mean(axis=0)
+    centered = data - mean
+    cov = centered.T @ centered / data.shape[0]
+    return mean, 0.5 * (cov + cov.T)
+
+
+@pytest.fixture(scope="module")
+def multi_chunk_data():
+    """A cloud of three full row chunks plus a partial one (D = 64)."""
+    d = 64
+    rows = _MOMENT_BLOCK // d
+    rng = np.random.default_rng(11)
+    scale = np.linspace(3.0, 0.1, d)
+    return 5.0 + rng.standard_normal((3 * rows + 123, d)) * scale
+
+
+class TestStreamedMoments:
+    def test_one_chunk_bitwise_equal_to_one_shot(self):
+        d = 64
+        rng = np.random.default_rng(5)
+        data = 2.0 + rng.standard_normal((_MOMENT_BLOCK // d, d))
+        mean, cov = estimate_moments(PointCloud(data))
+        mean_ref, cov_ref = one_shot_moments(data)
+        assert mean.tobytes() == mean_ref.tobytes()
+        assert cov.tobytes() == cov_ref.tobytes()
+
+    def test_multi_chunk_matches_one_shot(self, multi_chunk_data):
+        mean, cov = estimate_moments(PointCloud(multi_chunk_data))
+        mean_ref, cov_ref = one_shot_moments(multi_chunk_data)
+        assert mean.tobytes() == mean_ref.tobytes()
+        assert np.max(np.abs(cov - cov_ref)) <= 1e-12 * np.max(np.abs(cov_ref))
+        np.testing.assert_array_equal(cov, cov.T)
+
+    def test_fit_holds_one_chunk_not_a_centered_copy(self, multi_chunk_data):
+        cloud = PointCloud(multi_chunk_data)
+        tracemalloc.start()
+        try:
+            spectrum_from_cloud(cloud)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One centered chunk is _MOMENT_BLOCK doubles (8 MiB), under a third
+        # of this cloud; a centered copy of the cloud would be all of it.
+        assert peak < cloud.data.nbytes / 2
 
 
 class TestCompactSpectrum:
