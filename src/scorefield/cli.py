@@ -25,6 +25,7 @@ from .analysis import analytical_curves, bimodal_error_curve, unexplained_varian
 from .errors import InvalidInput, ScoreFieldError
 from .gmmfit import gmm_from_assignments, minibatch_kmeans_full, rank_mode_sweep
 from .models import (
+    _CPUS,
     DeltaMixtureModel,
     GaussianModel,
     IsotropicModel,
@@ -164,7 +165,7 @@ def _ensemble(args, model, sigma_T, sample) -> None:
         x_T = sigma_T * np.random.default_rng(seeds[i]).standard_normal(model.dim)
         save_trajectory_csv(sample(x_T), os.path.join(args.out, f"traj_{i:04d}.csv"))
 
-    with ThreadPoolExecutor(max_workers=min(args.n, os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=min(args.n, _CPUS)) as pool:
         list(pool.map(run_one, range(args.n)))
     _write_sidecar(args)
 

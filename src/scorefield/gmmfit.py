@@ -40,11 +40,12 @@ class KMeansResult:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # One center at a time: an (N, D) temporary instead of the (N, K, D)
+    # One center at a time into one (N, D) buffer instead of the (N, K, D)
     # tensor, with the same reduction over D for every entry.
     out = np.empty((points.shape[0], centers.shape[0]))
+    diff = np.empty_like(points)
     for c in range(centers.shape[0]):
-        diff = points - centers[c]
+        np.subtract(points, centers[c], out=diff)
         out[:, c] = np.einsum("nd,nd->n", diff, diff)
     return out
 
@@ -56,7 +57,8 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     centers = np.empty((k, data.shape[1]))
     idx = int(rng.integers(n))
     centers[0] = data[idx]
-    closest = np.einsum("nd,nd->n", data - centers[0], data - centers[0])
+    diff = np.subtract(data, centers[0])
+    closest = np.einsum("nd,nd->n", diff, diff)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -64,8 +66,8 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
         else:
             idx = int(rng.choice(n, p=closest / total))
         centers[j] = data[idx]
-        d_new = np.einsum("nd,nd->n", data - centers[j], data - centers[j])
-        np.minimum(closest, d_new, out=closest)
+        np.subtract(data, centers[j], out=diff)
+        np.minimum(closest, np.einsum("nd,nd->n", diff, diff), out=closest)
     return centers
 
 
@@ -100,16 +102,22 @@ def minibatch_kmeans_full(
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(data, k, rng)
     counts = np.zeros(k)
+    take = min(batch, n)
+    # Every iteration reuses the same (take, D) buffers: a fresh one each
+    # time can be handed back to the system and faulted in again, once
+    # glibc's mmap and trim thresholds follow smaller blocks freed elsewhere.
+    mb = np.empty((take, data.shape[1]))
+    sorted_mb = np.empty_like(mb)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        take = min(batch, n)
         sample = rng.choice(n, size=take, replace=False)
-        mb = data[sample]
+        np.take(data, sample, axis=0, out=mb, mode="clip")
         assign = np.argmin(_sq_dists(mb, centers), axis=1)
         previous = centers.copy()
         order = np.argsort(assign, kind="stable")
         hit, starts, m = np.unique(assign[order], return_index=True, return_counts=True)
-        sums = np.add.reduceat(mb[order], starts, axis=0)
+        np.take(mb, order, axis=0, out=sorted_mb, mode="clip")
+        sums = np.add.reduceat(sorted_mb, starts, axis=0)
         total = counts[hit] + m
         centers[hit] = (counts[hit, None] * centers[hit] + sums) / total[:, None]
         counts[hit] = total

@@ -23,6 +23,16 @@ mixture logits are retaken relative to the row's smallest quadratic form.
 A mixture row whose quadratic form overflows near the top of the sigma
 domain retakes it on ``x/sigma`` and ``mu/sigma``.
 
+Threads live in one place: a module-level pool of ``W - 1`` workers, W being
+the usable CPU count. A mixture call splits its rows into at most W
+contiguous shares, as many as keep every share at ``_SHARE`` = 2^24
+difference elements (share rows x components x D) or more; the caller works
+the first share and the pool the rest. numpy's einsum and ufunc loops
+release the GIL, so the shares run at once, and since every row is a pure
+function of its input row, the output bits do not depend on W. A call too
+small for two shares runs on the calling thread alone, and importing this
+module starts no thread.
+
 Gaussian log-densities never touch a D x D matrix: with the compact spectrum
 ``Sigma = U diag(lam) U^T``,
 
@@ -35,9 +45,11 @@ with ``c = U^T (x - mu)``.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +94,13 @@ _CHUNK = 256
 # buffer, whose block of training points is sized to fit it, and of the
 # Gaussian mixture's stacked (K, rows, D) temporaries, whose chunk of rows is.
 _BLOCK = 1 << 16
+
+# Usable CPUs, the difference elements a row share of a posterior-mixture
+# call must carry, and the pool that works every share but the caller's (see
+# the module docstring). The pool's threads start at its first task.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_SHARE = 1 << 24
+_POOL = ThreadPoolExecutor(max_workers=max(1, _CPUS - 1), thread_name_prefix="scorefield")
 
 # Exactly the noise levels whose square is a normal, finite double.
 _SIGMA_MIN = float(np.sqrt(np.finfo(np.float64).tiny))  # 1.49e-154
@@ -245,15 +264,33 @@ class _PosteriorMixture(ScoreModel):
     n_components: int
     _chunk_rows: int
 
+    def _chunks(self, out, xb, sigma, step, lo: int, hi: int) -> None:
+        """Fill rows lo:hi of ``out``, ``_chunk_rows`` rows at a time."""
+        rows = self._chunk_rows
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            logits, work = self._evaluate(xb[a:b], sigma)
+            out[a:b] = step(_softmax_rows(logits), work)
+
     def _per_chunk(self, x, sigma, width: int, step):
         sigma = _check_sigma(sigma)
         xb, single = _as_batch(x, self.dim)
-        out = np.empty((xb.shape[0], width))
-        rows = self._chunk_rows
-        for lo in range(0, xb.shape[0], rows):
-            chunk = xb[lo : lo + rows]
-            logits, work = self._evaluate(chunk, sigma)
-            out[lo : lo + rows] = step(_softmax_rows(logits), work)
+        m = xb.shape[0]
+        out = np.empty((m, width))
+        # Every output row is a pure function of its input row, so the bits
+        # do not depend on the shares. Pool tasks run in a copy of the
+        # caller's context, which carries its np.errstate, and never submit
+        # to the pool themselves.
+        shares = max(1, min(_CPUS, m // -(-_SHARE // (self.n_components * xb.shape[1]))))
+        tasks = []
+        for i in range(1, shares):
+            tasks.append(_POOL.submit(contextvars.copy_context().run, self._chunks, out, xb, sigma,
+                                      step, m * i // shares, m * (i + 1) // shares))
+        try:
+            self._chunks(out, xb, sigma, step, 0, m // shares)
+        finally:
+            for task in tasks:
+                task.result()
         return out[0] if single else out
 
     def denoise(self, x, sigma):

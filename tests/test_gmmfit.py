@@ -113,6 +113,20 @@ def sequential_kmeans(cloud, k, batch, seed, max_iter, tol=1e-6):
     return assignments, centers, iterations
 
 
+def reference_pp_init(data, k, rng):
+    """k-means++ seeding with fresh differences for every center."""
+    n = data.shape[0]
+    centers = np.empty((k, data.shape[1]))
+    centers[0] = data[int(rng.integers(n))]
+    closest = np.einsum("nd,nd->n", data - centers[0], data - centers[0])
+    for j in range(1, k):
+        total = closest.sum()
+        idx = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=closest / total))
+        centers[j] = data[idx]
+        np.minimum(closest, np.einsum("nd,nd->n", data - centers[j], data - centers[j]), out=closest)
+    return centers
+
+
 class TestBatchedKmeansStep:
     CLOUDS = {
         "gaussian": lambda: gaussian_cloud(600, 8, seed=1),
@@ -132,6 +146,15 @@ class TestBatchedKmeansStep:
                 np.testing.assert_array_equal(res.assignments, assign)
                 assert res.iterations == iterations
                 np.testing.assert_allclose(res.centers, centers, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_pp_init_matches_reference_bitwise(self, name):
+        data = self.CLOUDS[name]().data
+        for k in (1, 4, 16):
+            np.testing.assert_array_equal(
+                _kmeans_pp_init(data, k, np.random.default_rng(k)),
+                reference_pp_init(data, k, np.random.default_rng(k)),
+            )
 
     @pytest.mark.parametrize("n, k, d", [(2048, 8, 64), (4000, 4, 16), (1237, 7, 33), (1, 3, 5)])
     def test_per_center_distances_match_full_tensor_bitwise(self, n, k, d):

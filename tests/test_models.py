@@ -1,10 +1,16 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scorefield.models
 from scorefield.errors import InvalidNoise, WrongVariant
 from scorefield.gmmfit import fit_gmm
 from scorefield.models import (
@@ -558,6 +564,92 @@ class TestBatchEvaluation:
             w = mixture_weights(model, x, 0.7)
             for i in (0, 128, 255, 299):
                 np.testing.assert_array_equal(w[i], mixture_weights(model, x[i], 0.7))
+
+
+class CountingPool(ThreadPoolExecutor):
+    def __init__(self, workers):
+        super().__init__(max_workers=workers)
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+def share_models():
+    rng = np.random.default_rng(91)
+    return [
+        DeltaMixtureModel(PointCloud(rng.standard_normal((40, 6)))),
+        ranked_mixture(92, 6, [2] * 3),
+        ranked_mixture(96, 6, [3, 0, 6, 1]),
+    ]
+
+
+class TestRowShares:
+    """Calls split into row shares once the share gate is low enough."""
+
+    def split(self, monkeypatch, workers):
+        pool = CountingPool(max(1, workers - 1))
+        monkeypatch.setattr(scorefield.models, "_CPUS", workers)
+        monkeypatch.setattr(scorefield.models, "_SHARE", 1)
+        monkeypatch.setattr(scorefield.models, "_POOL", pool)
+        return pool
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 7, 301])
+    def test_bits_do_not_depend_on_worker_count(self, monkeypatch, workers, rows):
+        rng = np.random.default_rng(rows)
+        x = 2.0 * rng.standard_normal((rows, 6))
+        models = share_models()
+        whole = [(m.denoise(x, s), m.posterior_weights(x, s)) for m in models for s in (0.05, 1.0)]
+        pool = self.split(monkeypatch, workers)
+        try:
+            split = [(m.denoise(x, s), m.posterior_weights(x, s)) for m in models for s in (0.05, 1.0)]
+        finally:
+            pool.shutdown()
+        assert pool.submitted == len(whole) * 2 * (min(workers, rows) - 1)
+        for (d0, w0), (d1, w1) in zip(whole, split):
+            np.testing.assert_array_equal(d1, d0)
+            np.testing.assert_array_equal(w1, w0)
+
+    @pytest.mark.parametrize("gate_low", [False, True])
+    def test_zero_rows(self, monkeypatch, gate_low):
+        if gate_low:
+            self.split(monkeypatch, 2)
+        for model in share_models()[:2]:
+            x = np.empty((0, model.dim))
+            assert model.denoise(x, 0.5).shape == (0, model.dim)
+            assert model.posterior_weights(x, 0.5).shape == (0, model.n_components)
+
+    def test_pool_share_keeps_callers_errstate_and_raises_to_caller(self, monkeypatch):
+        # The infinite row lands in the pool's share, where its distances
+        # give inf - inf.
+        model = share_models()[0]
+        x = np.zeros((2, model.dim))
+        x[1, 0] = np.inf
+        self.split(monkeypatch, 2)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            model.denoise(x, 0.5)
+
+    def test_small_calls_start_no_thread(self):
+        code = (
+            "import threading\n"
+            "before = threading.active_count()\n"
+            "import numpy as np\n"
+            "import scorefield.models as m\n"
+            "after_import = threading.active_count()\n"
+            "cloud = np.random.default_rng(0).standard_normal((50, 4))\n"
+            "m.DeltaMixtureModel(cloud).denoise(np.zeros(4), 0.5)\n"
+            "print(before, after_import, threading.active_count())\n"
+        )
+        src = str(Path(scorefield.models.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after_import, after_call = map(int, proc.stdout.split())
+        assert before == after_import == after_call
 
 
 class TestValidation:
