@@ -14,6 +14,9 @@ Mixture weights are always computed in log space with max subtraction; the
 softmax of Gaussian log-densities otherwise underflows catastrophically at
 small sigma. The delta mixture streams over its training points in fixed-size
 blocks, so a batch of M rows needs O(M N) memory, never an (M, N, D) tensor.
+Its combine takes the weights in (N, rows) order, so one pass over the cloud
+serves a whole chunk of rows, each output element still summed over the
+training points in order.
 The Gaussian mixture keeps its components stacked (means, and bases and
 eigenvalues per group of equal rank) and evaluates all K of them at once on
 chunks of ``max(1, _BLOCK // (K D))`` rows, the same element budget. A row
@@ -477,7 +480,16 @@ class DeltaMixtureModel(_PosteriorMixture):
         return logits
 
     def _combine(self, w, work):
-        return np.einsum("mn,nd->md", w, self.cloud.data)
+        # With the weights in C-contiguous (N, rows) order, one pass over the
+        # cloud serves every row of the chunk, and each output element is
+        # still the same sequential sum over the training points. The softmax
+        # stays on the (rows, N) layout, since its row sums must keep their
+        # order. A one-column cloud keeps that layout here too: einsum folds
+        # the unit axis and would sum a lone row in another order.
+        y = self.cloud.data
+        if y.shape[1] == 1:
+            return np.einsum("mn,nd->md", w, y)
+        return np.einsum("nm,nd->md", np.ascontiguousarray(w.T), y)
 
 
 # ---------------------------------------------------------------------------

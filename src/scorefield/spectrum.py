@@ -10,6 +10,8 @@ zero covariance) yields an r = 0 spectrum, which stays valid downstream.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -38,12 +40,16 @@ __all__ = [
 
 _BINARY_MAGIC = b"PCLD1"
 
-# Element budget (8 MiB) of the centered row chunk in ``estimate_moments``.
+# Element budget of the row chunks that ``estimate_moments`` centers (8 MiB)
+# and that ``PointCloud`` checks for finiteness (a 1 MiB mask).
 _MOMENT_BLOCK = 1 << 20
 
 
 def _frozen_array(a, dtype=np.float64):
-    out = np.ascontiguousarray(a, dtype=dtype)
+    # C order and aligned, copying only input that is neither (say, a view
+    # of raw bytes at an odd offset): numpy's kernels take a slower path on
+    # misaligned data.
+    out = np.require(a, dtype, requirements=("C", "A"))
     out.setflags(write=False)
     return out
 
@@ -69,7 +75,8 @@ class PointCloud:
             raise ShapeError(f"cloud data must be 2-D (N, D), got shape {data.shape}")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise EmptyInput(f"cloud must have N >= 1 and D >= 1, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
+        step = max(1, _MOMENT_BLOCK // data.shape[1])
+        if not all(np.isfinite(data[i:i + step]).all() for i in range(0, data.shape[0], step)):
             raise InvalidData("cloud data contains non-finite entries")
         object.__setattr__(self, "data", _frozen_array(data))
         if self.labels is not None:
@@ -335,31 +342,44 @@ def save_cloud_binary(cloud: PointCloud, path) -> None:
     with open(path, "wb") as f:
         f.write(_BINARY_MAGIC)
         f.write(struct.pack("<IIB", cloud.n_samples, cloud.dim, int(has_labels)))
-        f.write(np.ascontiguousarray(cloud.data, dtype="<f8").tobytes())
+        # Each array's own buffer goes out; no bytes copy of the cloud.
+        f.write(np.ascontiguousarray(cloud.data, dtype="<f8"))
         if has_labels:
-            f.write(np.ascontiguousarray(cloud.labels, dtype="<i4").tobytes())
+            f.write(np.ascontiguousarray(cloud.labels, dtype="<i4"))
+
+
+def _read_payload(f, path, shape, dtype) -> np.ndarray:
+    out = np.empty(shape, dtype)
+    got = f.readinto(out)
+    if got != out.nbytes:
+        raise InvalidData(f"{path}: read {got} of {out.nbytes} payload bytes, the file ended early")
+    return out
 
 
 def load_cloud_binary(path) -> PointCloud:
+    """Read a PCLD1 file (see ``save_cloud_binary``). The payload starts at
+    byte 14, so it is read into fresh aligned arrays, not viewed in place."""
+    header = len(_BINARY_MAGIC) + struct.calcsize("<IIB")
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[: len(_BINARY_MAGIC)] != _BINARY_MAGIC:
-        raise InvalidData(f"{path}: bad magic bytes, not a PCLD1 file")
-    offset = len(_BINARY_MAGIC) + struct.calcsize("<IIB")
-    if len(blob) < offset:
-        raise InvalidData(f"{path}: {len(blob)} bytes, shorter than the {offset}-byte PCLD1 header")
-    n, d, has_labels = struct.unpack_from("<IIB", blob, len(_BINARY_MAGIC))
-    expected = offset + n * d * 8 + (n * 4 if has_labels else 0)
-    if len(blob) != expected:
-        raise InvalidData(
-            f"{path}: header gives N={n}, D={d}, labels={bool(has_labels)}, which needs "
-            f"{expected} bytes, but the file has {len(blob)}"
-        )
-    data = np.frombuffer(blob, dtype="<f8", count=n * d, offset=offset).reshape(n, d)
-    offset += n * d * 8
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(blob, dtype="<i4", count=n, offset=offset)
+        st = os.fstat(f.fileno())
+        head = f.read(header)
+        if head[: len(_BINARY_MAGIC)] != _BINARY_MAGIC:
+            raise InvalidData(f"{path}: bad magic bytes, not a PCLD1 file")
+        if len(head) < header:
+            raise InvalidData(f"{path}: {len(head)} bytes, shorter than the {header}-byte PCLD1 header")
+        n, d, has_labels = struct.unpack_from("<IIB", head, len(_BINARY_MAGIC))
+        expected = header + n * d * 8 + (n * 4 if has_labels else 0)
+        # A pipe has no length before it is read; for one, a short read and
+        # bytes past the payload raise below.
+        if stat.S_ISREG(st.st_mode) and st.st_size != expected:
+            raise InvalidData(
+                f"{path}: header gives N={n}, D={d}, labels={bool(has_labels)}, which needs "
+                f"{expected} bytes, but the file has {st.st_size}"
+            )
+        data = _read_payload(f, path, (n, d), "<f8")
+        labels = _read_payload(f, path, n, "<i4") if has_labels else None
+        if f.read(1):
+            raise InvalidData(f"{path}: bytes follow the {expected} that its header gives")
     return PointCloud(data, labels)
 
 

@@ -1,10 +1,14 @@
 import inspect
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scorefield.errors import InvalidData
 from scorefield.models import (
@@ -111,6 +115,141 @@ class TestCloudFiles:
         save_cloud(cloud, tmp_path / "c.csv")
         save_cloud(cloud, tmp_path / "c.bin")
         np.testing.assert_allclose(load_cloud(tmp_path / "c.bin").data, cloud.data)
+
+    @pytest.mark.parametrize("labels", [False, True])
+    @pytest.mark.parametrize("dim", [1, 3, 7])
+    def test_loaded_cloud_is_aligned_and_owns_its_data(self, tmp_path, labels, dim):
+        # The 14-byte header would leave a view of the file bytes 6 bytes off
+        # an 8-byte boundary.
+        rng = np.random.default_rng(dim)
+        cloud = PointCloud(rng.standard_normal((5, dim)), rng.integers(-4, 4, 5) if labels else None)
+        path = tmp_path / "c.bin"
+        save_cloud_binary(cloud, path)
+        back = load_cloud_binary(path)
+        for arr in (back.data,) + ((back.labels,) if labels else ()):
+            assert arr.flags.aligned and arr.flags.c_contiguous
+            assert arr.flags.owndata and arr.base is None
+        np.testing.assert_array_equal(back.data, cloud.data)
+        if labels:
+            np.testing.assert_array_equal(back.labels, cloud.labels)
+
+    def test_oversized_file_names_path_and_sizes(self, tmp_path):
+        path = tmp_path / "long.bin"
+        save_cloud_binary(PointCloud(np.ones((4, 2)), [1, 2, 3, 4]), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        # 14 header bytes + 4 * 2 * 8 data bytes + 4 * 4 label bytes.
+        with pytest.raises(InvalidData, match=r"long\.bin.*labels=True.*94 bytes.*has 97"):
+            load_cloud_binary(path)
+
+    def test_short_header_names_path_and_sizes(self, tmp_path):
+        path = tmp_path / "head.bin"
+        path.write_bytes(b"PCLD1\x01\x00")
+        with pytest.raises(InvalidData, match=r"head\.bin: 7 bytes.*14-byte PCLD1 header"):
+            load_cloud_binary(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_and_checked_as_it_streams(self, tmp_path):
+        # A pipe has no length up front: the payload reads must catch a
+        # short stream and bytes past the payload.
+        save_cloud_binary(PointCloud(np.arange(8.0).reshape(4, 2), [1, 2, 3, 4]), tmp_path / "c.bin")
+        blob = (tmp_path / "c.bin").read_bytes()
+
+        def load_piped(data):
+            r, w = os.pipe()
+            try:
+                os.write(w, data)
+                os.close(w)
+                return load_cloud_binary(f"/dev/fd/{r}")
+            finally:
+                os.close(r)
+
+        back = load_piped(blob)
+        np.testing.assert_array_equal(back.data, np.arange(8.0).reshape(4, 2))
+        np.testing.assert_array_equal(back.labels, [1, 2, 3, 4])
+        with pytest.raises(InvalidData, match=r"/dev/fd/\d+: read 56 of 64 payload bytes"):
+            load_piped(blob[:14 + 56])
+        with pytest.raises(InvalidData, match=r"read 12 of 16 payload bytes"):
+            load_piped(blob[:-4])
+        with pytest.raises(InvalidData, match=r"bytes follow the 94"):
+            load_piped(blob + b"\0")
+
+
+class TestAlignedCloud:
+    def test_misaligned_buffer_is_copied_aligned(self):
+        n, d = 9, 5
+        values = np.random.default_rng(3).standard_normal((n, d))
+        raw = np.frombuffer(b"\0" * 6 + values.tobytes(), offset=6).reshape(n, d)
+        assert not raw.flags.aligned
+        data = PointCloud(raw).data
+        assert data.flags.aligned
+        np.testing.assert_array_equal(data.view(np.uint64), values.view(np.uint64))
+
+    def test_misaligned_memmap_is_copied_aligned(self, tmp_path):
+        values = np.random.default_rng(4).standard_normal((6, 3))
+        path = tmp_path / "c.bin"
+        save_cloud_binary(PointCloud(values), path)
+        raw = np.memmap(path, dtype="<f8", mode="r", offset=14, shape=values.shape)
+        assert not raw.flags.aligned
+        data = PointCloud(raw).data
+        assert data.flags.aligned and type(data) is np.ndarray
+        np.testing.assert_array_equal(data, values)
+
+    def test_aligned_input_is_not_copied(self):
+        values = np.random.default_rng(5).standard_normal((4, 3))
+        assert PointCloud(values).data is values
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), labelled=st.booleans())
+    def test_binary_roundtrip_keeps_every_bit(self, tmp_path_factory, data, labelled):
+        n, d = data.draw(st.integers(1, 50)), data.draw(st.integers(1, 40))
+        extremes = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                    -1.7976931348623157e308])
+        values = data.draw(hnp.arrays(np.float64, (n, d), elements=extremes | st.floats(
+            allow_nan=False, allow_infinity=False)))
+        labels = data.draw(hnp.arrays(np.int32, n)) if labelled else None
+        path = tmp_path_factory.mktemp("pcld") / "c.bin"
+        save_cloud_binary(PointCloud(values, labels), path)
+        back = load_cloud_binary(path)
+        assert back.data.flags.aligned
+        assert back.data.tobytes() == values.tobytes()
+        if labelled:
+            np.testing.assert_array_equal(back.labels, labels)
+        else:
+            assert back.labels is None
+
+
+class TestCloudFileMemory:
+    """Saving writes the cloud's own buffer; loading holds one copy of it."""
+
+    @pytest.fixture(scope="class")
+    def cloud(self):
+        rng = np.random.default_rng(8)
+        return PointCloud(rng.standard_normal((4000, 781)), rng.integers(0, 10, 4000))
+
+    @staticmethod
+    def payload(cloud):
+        return cloud.data.nbytes + cloud.n_samples * 4
+
+    def test_save_makes_no_copy(self, tmp_path, cloud):
+        tracemalloc.start()
+        try:
+            save_cloud_binary(cloud, tmp_path / "c.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * self.payload(cloud)
+
+    def test_load_holds_one_copy(self, tmp_path, cloud):
+        path = tmp_path / "c.bin"
+        save_cloud_binary(cloud, path)
+        tracemalloc.start()
+        try:
+            back = load_cloud_binary(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.data, cloud.data)
+        assert peak < 1.1 * self.payload(cloud)
 
 
 class TestSpectrumJson:

@@ -456,6 +456,26 @@ class TestDeltaStreaming:
         assert peak < 64 * 2**20
 
 
+class TestDeltaCombine:
+    @pytest.mark.parametrize("dim", [1, 16, 200])
+    @pytest.mark.parametrize("rows", [1, 7, 301])
+    def test_matches_row_layout_einsum_bitwise(self, rows, dim):
+        rng = np.random.default_rng(rows * dim)
+        model = DeltaMixtureModel(PointCloud(rng.standard_normal((500, dim))))
+        x = rng.standard_normal((rows, dim))
+        w = model.posterior_weights(x, 0.8)
+        # Every third row far from the cloud at tiny sigma: all its logits
+        # underflow, and the guard makes its weights one-hot.
+        far = np.arange(0, rows, 3)
+        w[far] = model.posterior_weights(1e5 + x[far], 1e-150)
+        assert np.all(w[far].max(axis=1) == 1.0)
+        out = model._combine(w, None)
+        ref = np.einsum("mn,nd->md", w, model.cloud.data)
+        np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+        for i in {0, rows // 2, rows - 1}:
+            np.testing.assert_array_equal(model._combine(w[i:i + 1], None)[0], out[i])
+
+
 def all_models(seed=17, d=5):
     rng = np.random.default_rng(seed)
     cloud = PointCloud(rng.standard_normal((8, d)))
