@@ -13,10 +13,12 @@ must satisfy ``1.49e-154 <= sigma <= 1.34e154`` (``sigma^2`` a normal double).
 Mixture weights are always computed in log space with max subtraction; the
 softmax of Gaussian log-densities otherwise underflows catastrophically at
 small sigma. The delta mixture streams over its training points in fixed-size
-blocks, so a batch of M rows needs O(M N) memory, never an (M, N, D) tensor.
-Its combine takes the weights in (N, rows) order, so one pass over the cloud
-serves a whole chunk of rows, each output element still summed over the
-training points in order.
+blocks, never an (M, N, D) tensor. A chunk of rows holds one (rows, N) array,
+which its squared distances, logits and weights overwrite in place, the
+weights' (N, rows) copy for the combine, and one (rows, block, D) difference
+buffer that every block of the call reuses. The combine takes the weights in
+that (N, rows) order, so one pass over the cloud serves a whole chunk of
+rows, each output element still summed over the training points in order.
 The Gaussian mixture keeps its components stacked (means, and bases and
 eigenvalues per group of equal rank) and evaluates all K of them at once on
 chunks of ``max(1, _BLOCK // (K D))`` rows, the same element budget. A row
@@ -154,9 +156,12 @@ def _lift(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
+    # In place: the max-subtract, exp and divide each overwrite ``logits``,
+    # a fresh C-contiguous (rows, K) array per chunk, which is returned.
+    np.subtract(logits, logits.max(axis=1, keepdims=True), out=logits)
+    np.exp(logits, out=logits)
+    np.divide(logits, logits.sum(axis=1, keepdims=True), out=logits)
+    return logits
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +264,10 @@ class _PosteriorMixture(ScoreModel):
 
     A variant supplies ``_evaluate`` (unnormalised log posteriors, one column
     per component, and whatever of their work ``_combine`` can reuse),
-    ``_combine`` (the weighted sum of component denoisers) and
-    ``_chunk_rows`` (how many rows one chunk evaluates at once). The softmax
-    is taken in log space with max subtraction.
+    ``_combine`` (the weighted sum of component denoisers, written into the
+    chunk's rows of the call's output) and ``_chunk_rows`` (how many rows
+    one chunk evaluates at once). The softmax is taken in log space with max
+    subtraction, over the chunk's logits in place.
     """
 
     n_components: int
@@ -273,7 +279,7 @@ class _PosteriorMixture(ScoreModel):
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             logits, work = self._evaluate(xb[a:b], sigma)
-            out[a:b] = step(_softmax_rows(logits), work)
+            step(_softmax_rows(logits), work, out[a:b])
 
     def _per_chunk(self, x, sigma, width: int, step):
         sigma = _check_sigma(sigma)
@@ -284,7 +290,9 @@ class _PosteriorMixture(ScoreModel):
         # do not depend on the shares. Pool tasks run in a copy of the
         # caller's context, which carries its np.errstate, and never submit
         # to the pool themselves.
-        shares = max(1, min(_CPUS, m // -(-_SHARE // (self.n_components * xb.shape[1]))))
+        shares = 1
+        if m > 1:
+            shares = max(1, min(_CPUS, m // -(-_SHARE // (self.n_components * xb.shape[1]))))
         tasks = []
         for i in range(1, shares):
             tasks.append(_POOL.submit(contextvars.copy_context().run, self._chunks, out, xb, sigma,
@@ -301,7 +309,7 @@ class _PosteriorMixture(ScoreModel):
 
     def posterior_weights(self, x, sigma):
         """Posterior component weights w_i(x, sigma), rows summing to 1."""
-        return self._per_chunk(x, sigma, self.n_components, lambda w, work: w)
+        return self._per_chunk(x, sigma, self.n_components, lambda w, work, out: np.copyto(out, w))
 
 
 @dataclass(frozen=True)
@@ -412,7 +420,7 @@ class MixtureModel(_PosteriorMixture):
     def _log_weights(self, xb, sigma):
         return self._evaluate(xb, sigma)[0]
 
-    def _combine(self, w, work):
+    def _combine(self, w, work, out=None):
         # Component denoisers mu_i + U_i diag(shrink) c, written over the
         # chunk's differences, which are no longer needed.
         den, coords = work
@@ -422,7 +430,7 @@ class MixtureModel(_PosteriorMixture):
             else:
                 lift = np.einsum("kmr,kdr->kmd", c * shrink[:, None, :], bases)
                 den[sel] = self._means[sel, None, :] + lift
-        return np.einsum("mk,kmd->md", w, den)
+        return np.einsum("mk,kmd->md", w, den, out=out)
 
 
 @dataclass(frozen=True)
@@ -454,32 +462,43 @@ class DeltaMixtureModel(_PosteriorMixture):
     def _evaluate(self, xb, sigma):
         return self._log_weights(xb, sigma), None
 
-    def _log_weights(self, xb, sigma):
-        # -|x - y_i|^2 / (2 sigma^2), computed from explicit differences: the
+    def _sq_dists(self, xb):
+        # |x - y_i|^2 (rows, N), computed from explicit differences: the
         # expanded |x|^2 - 2 x.y + |y|^2 form cancels catastrophically when the
-        # softmax gaps matter most. The training points stream through in
-        # blocks of at most _BLOCK difference elements, so memory is O(rows N)
-        # and every |x - y_i|^2 is the same reduction over D as on the whole
-        # (rows, N, D) tensor, bit for bit.
+        # softmax gaps matter most. The training points stream through one
+        # (rows, block, D) buffer of at most _BLOCK elements, and every
+        # |x - y_i|^2 is the same reduction over D as on the whole
+        # (rows, N, D) tensor, bit for bit, whatever the row count.
         y = self.cloud.data
         step = max(1, _BLOCK // (xb.shape[0] * y.shape[1]))
         d2 = np.empty((xb.shape[0], y.shape[0]))
+        buf = np.empty((xb.shape[0], min(step, y.shape[0]), y.shape[1]))
         for lo in range(0, y.shape[0], step):
-            diff = xb[:, None, :] - y[None, lo : lo + step, :]
-            d2[:, lo : lo + step] = np.einsum("mnd,mnd->mn", diff, diff)
+            blk = y[lo : lo + step]
+            diff = np.subtract(xb[:, None, :], blk[None], out=buf[:, : blk.shape[0]])
+            np.einsum("mnd,mnd->mn", diff, diff, out=d2[:, lo : lo + step])
+        return d2
+
+    def _log_weights(self, xb, sigma):
+        # -|x - y_i|^2 / (2 sigma^2), written over the distances: IEEE
+        # division is sign-symmetric, so d2 / -(2 sigma^2) has the bits of
+        # -d2 / (2 sigma^2).
+        logits = self._sq_dists(xb)
         with np.errstate(over="ignore"):
-            logits = -d2 / (2.0 * sigma**2)
+            np.divide(logits, -(2.0 * sigma**2), out=logits)
             # Far from the cloud at tiny sigma every logit of a row can
             # overflow to -inf, and the softmax would give 0/0. Measured from
             # the nearest point, the row keeps its limit: one-hot weights,
-            # split evenly on exact ties.
+            # split evenly on exact ties. Only such rows take their
+            # distances again, which are row-local and so the same bits.
             lost = logits.max(axis=1) == -np.inf
             if lost.any():
-                near = d2[lost] - d2[lost].min(axis=1, keepdims=True)
-                logits[lost] = -near / (2.0 * sigma**2)
+                near = self._sq_dists(xb[lost])
+                near -= near.min(axis=1, keepdims=True)
+                logits[lost] = near / -(2.0 * sigma**2)
         return logits
 
-    def _combine(self, w, work):
+    def _combine(self, w, work, out=None):
         # With the weights in C-contiguous (N, rows) order, one pass over the
         # cloud serves every row of the chunk, and each output element is
         # still the same sequential sum over the training points. The softmax
@@ -488,8 +507,8 @@ class DeltaMixtureModel(_PosteriorMixture):
         # the unit axis and would sum a lone row in another order.
         y = self.cloud.data
         if y.shape[1] == 1:
-            return np.einsum("mn,nd->md", w, y)
-        return np.einsum("nm,nd->md", np.ascontiguousarray(w.T), y)
+            return np.einsum("mn,nd->md", w, y, out=out)
+        return np.einsum("nm,nd->md", np.ascontiguousarray(w.T), y, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,10 @@ def estimate_moments(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     (1/N) convention keeps tr Sigma identities exact. The second pass
     centers ``max(1, _MOMENT_BLOCK // D)`` rows at a time and sums their
     ``(y - mu)^T (y - mu)`` products, so beyond the cloud it holds one
-    centered chunk and the D x D result. A cloud within one chunk is one
-    product, bitwise equal to ``(y - mu)^T (y - mu) / N``; over several
-    chunks the sum reassociates, to within rounding.
+    centered chunk, one D x D product buffer and the D x D result. A cloud
+    within one chunk is one product, bitwise equal to
+    ``(y - mu)^T (y - mu) / N``; over several chunks the sum reassociates,
+    to within rounding.
 
     Returns
     -------
@@ -183,24 +184,32 @@ def estimate_moments(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, _MOMENT_BLOCK // y.shape[1])
     buf = rows = y[:step] - mean
     cov = rows.T @ rows
+    prod = np.empty_like(cov) if y.shape[0] > step else None
     for start in range(step, y.shape[0], step):
         chunk = y[start:start + step]
         rows = np.subtract(chunk, mean, out=buf[: chunk.shape[0]])
-        cov += rows.T @ rows
-    del buf, rows  # release the chunk before the D x D temporaries below
+        cov += np.matmul(rows.T, rows, out=prod)
+    del buf, rows, prod  # release the chunk before any D x D temporary below
     cov /= y.shape[0]
-    cov = 0.5 * (cov + cov.T)
+    # numpy forms a matrix's product with its own transpose from one
+    # triangle and mirrors it, so the sum is exactly symmetric and
+    # 0.5 (cov + cov^T) would give cov's bits again.
+    if not np.array_equal(cov, cov.T):
+        cov = 0.5 * (cov + cov.T)
     return mean, cov
 
 
 def _fix_column_signs(basis: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
+    """Flip each column, in place, so its largest-magnitude entry is positive."""
     if basis.size == 0:
         return basis
-    idx = np.argmax(np.abs(basis), axis=0)
+    # Each column's magnitudes as one C-contiguous row: argmax along any
+    # other axis would first copy them into that layout.
+    idx = np.argmax(np.abs(basis.T, order="C"), axis=1)
     signs = np.sign(basis[idx, np.arange(basis.shape[1])])
     signs[signs == 0] = 1.0
-    return basis * signs
+    basis *= signs
+    return basis
 
 
 def compact_spectrum(
@@ -222,32 +231,38 @@ def compact_spectrum(
         raise ShapeError(f"covariance must be ({mean.size}, {mean.size}), got {cov.shape}")
     if not np.all(np.isfinite(cov)):
         raise InvalidData("covariance contains non-finite entries")
-    scale = max(np.max(np.abs(cov)), 1.0)
-    if np.max(np.abs(cov - cov.T)) > 1e-8 * scale:
+    # One D x D buffer serves the scale, the symmetry gap and, if the gap
+    # is not 0, the symmetrized copy.
+    work = np.abs(cov)
+    scale = max(np.max(work), 1.0)
+    np.abs(np.subtract(cov, cov.T, out=work), out=work)
+    gap = np.max(work)
+    if gap > 1e-8 * scale:
         raise InvalidData("covariance is not symmetric within 1e-8")
     if max_rank is not None and max_rank < 0:
         raise InvalidData("max_rank must be >= 0")
     if eig_floor is not None and eig_floor < 0:
         raise InvalidData("eig_floor must be >= 0")
 
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    if gap > 0:
+        cov = np.multiply(0.5, np.add(cov, cov.T, out=work), out=work)
+    del work
+    eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    return _truncate(mean, eigvecs, eigvals, max_rank, eig_floor)
+    k = _kept(eigvals, max_rank, eig_floor)
+    return CompactSpectrum(mean, _fix_column_signs(eigvecs[:, order[:k]]), eigvals[:k])
 
 
-def _truncate(mean, basis, eigvals, max_rank, eig_floor) -> CompactSpectrum:
+def _kept(eigvals, max_rank, eig_floor) -> int:
+    """How many of the descending ``eigvals`` to keep: those above
+    ``eig_floor`` (default ``1e-10 * lambda_max``), at most ``max_rank``.
+    The kept set is a prefix, since the eigenvalues are sorted."""
     if eig_floor is None:
         lam_max = eigvals[0] if eigvals.size else 0.0
         eig_floor = 1e-10 * max(lam_max, 0.0)
-    keep = eigvals > max(eig_floor, 0.0)
-    basis = basis[:, keep]
-    eigvals = eigvals[keep]
-    if max_rank is not None:
-        basis = basis[:, :max_rank]
-        eigvals = eigvals[:max_rank]
-    return CompactSpectrum(mean, _fix_column_signs(basis), eigvals)
+    k = int(np.count_nonzero(eigvals > max(eig_floor, 0.0)))
+    return k if max_rank is None else min(k, max_rank)
 
 
 def spectrum_from_cloud(
@@ -275,13 +290,15 @@ def spectrum_from_cloud(
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    # Centered data has rank <= N-1; drop nonpositive modes before rescaling.
-    pos = eigvals > 0
-    eigvals = eigvals[pos]
-    eigvecs = eigvecs[:, pos]
-    basis = centered.T @ eigvecs / np.sqrt(n * eigvals)
-    return _truncate(mean, basis, eigvals, max_rank, eig_floor)
+    # Centered data has rank <= N-1; drop nonpositive modes (a suffix of the
+    # sorted eigenvalues) before rescaling.
+    pos = int(np.count_nonzero(eigvals > 0))
+    eigvals = eigvals[:pos]
+    basis = centered.T @ eigvecs[:, order[:pos]]
+    del centered
+    basis /= np.sqrt(n * eigvals)
+    k = _kept(eigvals, max_rank, eig_floor)
+    return CompactSpectrum(mean, _fix_column_signs(basis[:, :k]), eigvals[:k])
 
 
 def manifold_split(

@@ -672,6 +672,97 @@ class TestRowShares:
         assert before == after_import == after_call
 
 
+class TestOneRowCalls:
+    def test_skip_the_share_arithmetic(self, monkeypatch):
+        # A one-row call has one share whatever the gate, so it never reads it.
+        models = share_models()
+        x = np.random.default_rng(5).standard_normal(6)
+        whole = [(m.denoise(x, 0.5), m.posterior_weights(x, 0.5)) for m in models]
+        monkeypatch.setattr(scorefield.models, "_SHARE", None)
+        for m, (d0, w0) in zip(models, whole):
+            np.testing.assert_array_equal(m.denoise(x, 0.5), d0)
+            np.testing.assert_array_equal(m.posterior_weights(x[None], 0.5)[0], w0)
+
+
+def reference_delta(y, x, sigma):
+    """Delta log-weights, weights and denoiser from the whole (rows, N, D)
+    difference tensor, -d2 / (2 sigma^2) with the nearest-point limit for
+    lost rows, an out-of-place softmax and the (rows, N) combine."""
+    diff = x[:, None, :] - y[None, :, :]
+    d2 = np.einsum("mnd,mnd->mn", diff, diff)
+    with np.errstate(over="ignore"):
+        logits = -d2 / (2.0 * sigma**2)
+        lost = logits.max(axis=1) == -np.inf
+        if lost.any():
+            near = d2[lost] - d2[lost].min(axis=1, keepdims=True)
+            logits[lost] = -near / (2.0 * sigma**2)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    w = np.exp(shifted)
+    w = w / w.sum(axis=1, keepdims=True)
+    return logits, w, np.einsum("mn,nd->md", w, y)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestDeltaInPlace:
+    """Distances, logits and weights overwrite one (rows, N) array."""
+
+    @pytest.mark.parametrize("sigma", [1e-150, 0.05, 1.0, 1e154])
+    @pytest.mark.parametrize("dim", [1, 2, 16, 64])
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_matches_reference_formulas_bitwise(self, monkeypatch, rows, dim, sigma):
+        step = max(1, _BLOCK // (rows * dim))
+        n = 3 * step + 1  # three full blocks of training points and a partial one
+        rng = np.random.default_rng(rows * dim)
+        y = rng.standard_normal((n, dim))
+        y[0] = y[step] = y[-1] = 10.0  # one extreme point, three times over
+        x = rng.standard_normal((rows, dim))
+        x[0::3] = 1e5  # nearest to the extreme point: a three-way tie
+        x[2::3] -= 1e5  # far on the other side, with no tie
+        model = DeltaMixtureModel(PointCloud(y))
+        logits, w, den = reference_delta(model.cloud.data, x, sigma)
+        if sigma == 1e-150:
+            # Rows 0::3 and 2::3 lose every logit to -inf; rows 1::3 stay
+            # finite beside them.
+            assert np.all(np.isfinite(logits[1::3]))
+            np.testing.assert_array_equal(w[0::3][:, [0, step, n - 1]], 1 / 3)
+            assert np.all(np.count_nonzero(w[0::3], axis=1) == 3)
+        np.testing.assert_array_equal(bits(model._log_weights(x, sigma)), bits(logits))
+        np.testing.assert_array_equal(bits(model.posterior_weights(x, sigma)), bits(w))
+        np.testing.assert_array_equal(bits(model.denoise(x, sigma)), bits(den))
+        pool = TestRowShares().split(monkeypatch, 2)  # the same calls in two row shares
+        try:
+            np.testing.assert_array_equal(bits(model.posterior_weights(x, sigma)), bits(w))
+            np.testing.assert_array_equal(bits(model.denoise(x, sigma)), bits(den))
+        finally:
+            pool.shutdown()
+        assert pool.submitted == (2 if rows > 1 else 0)
+
+    def test_softmax_rows_works_in_place(self):
+        logits = np.random.default_rng(3).standard_normal((4, 9)) * 50.0
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        ref = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        out = scorefield.models._softmax_rows(logits)
+        assert out is logits
+        np.testing.assert_array_equal(bits(out), bits(ref))
+
+    def test_denoise_peak_memory_is_about_two_logit_arrays(self):
+        # The (rows, N) logits, overwritten by the weights, and their (N, rows)
+        # copy for the combine; one block buffer and the output besides.
+        rng = np.random.default_rng(61)
+        model = DeltaMixtureModel(PointCloud(rng.standard_normal((4000, 64))))
+        x = rng.standard_normal((256, 64))
+        tracemalloc.start()
+        try:
+            model.denoise(x, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 256 * 4000 * 8
+
+
 class TestValidation:
     def test_mixture_weight_sum_enforced(self):
         comps = (
