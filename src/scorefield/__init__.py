@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedFramework,
     WrongVariant,
 )
-from .gmmfit import fit_gmm, minibatch_kmeans, rank_mode_sweep
+from .gmmfit import fit_gmm, rank_mode_sweep
 from .models import (
     DeltaMixtureModel,
     GaussianComponent,

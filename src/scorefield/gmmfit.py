@@ -4,6 +4,12 @@ The fit is deliberately cheap: cluster with mini-batch k-means, then take
 each cluster's empirical mean and (population) covariance, truncated to the
 requested rank, with weights N_i / N. This is roughly one EM step, which is
 all the score-comparison harness needs.
+
+The k-means distance passes split their rows across CPUs through the
+models' pool (``models._in_shares``), with the same gate as a
+posterior-mixture call; every row is a pure function of its input row, so
+assignments and centers do not depend on the share count. The sweep fits
+each K once at full rank and cuts every rank's mixture from that fit.
 """
 
 from __future__ import annotations
@@ -13,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, InvalidK
-from .models import GaussianComponent, MixtureModel, ScoreModel
-from .spectrum import PointCloud, spectrum_from_cloud
+from .models import GaussianComponent, MixtureModel, ScoreModel, _in_shares
+from .spectrum import CompactSpectrum, PointCloud, _kept, spectrum_from_cloud
 
 __all__ = [
     "KMeansResult",
-    "minibatch_kmeans",
     "minibatch_kmeans_full",
     "gmm_from_assignments",
     "fit_gmm",
@@ -41,12 +46,18 @@ class KMeansResult:
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # One center at a time into one (N, D) buffer instead of the (N, K, D)
-    # tensor, with the same reduction over D for every entry.
+    # tensor, with the same reduction over D for every entry. The rows split
+    # across CPUs like a posterior-mixture call, each share working on its
+    # own rows of both arrays, so no entry depends on the share count.
     out = np.empty((points.shape[0], centers.shape[0]))
     diff = np.empty_like(points)
-    for c in range(centers.shape[0]):
-        np.subtract(points, centers[c], out=diff)
-        out[:, c] = np.einsum("nd,nd->n", diff, diff)
+
+    def work(lo: int, hi: int) -> None:
+        for c in range(centers.shape[0]):
+            np.subtract(points[lo:hi], centers[c], out=diff[lo:hi])
+            out[lo:hi, c] = np.einsum("nd,nd->n", diff[lo:hi], diff[lo:hi])
+
+    _in_shares(points.shape[0], centers.size, work)
     return out
 
 
@@ -150,17 +161,6 @@ def minibatch_kmeans_full(
     return KMeansResult(assignments, centers, iterations, inertia)
 
 
-def minibatch_kmeans(
-    cloud: PointCloud,
-    k: int,
-    batch: int = DEFAULT_BATCH,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
-    """Cluster assignments only; see minibatch_kmeans_full for the details."""
-    return minibatch_kmeans_full(cloud, k, batch, seed, max_iter).assignments
-
-
 def gmm_from_assignments(
     cloud: PointCloud, assignments: np.ndarray, rank: int | None = None
 ) -> MixtureModel:
@@ -180,6 +180,25 @@ def gmm_from_assignments(
         sub = cloud.subset(index)
         spec = spectrum_from_cloud(sub, max_rank=rank)
         comps.append(GaussianComponent(index.size / n, spec))
+    return MixtureModel(tuple(comps))
+
+
+def _truncated(full: MixtureModel, rank: int) -> MixtureModel:
+    """``full`` with every component cut to its first ``rank`` eigenpairs.
+
+    A spectrum fit keeps a prefix of its descending eigenpairs and fixes
+    each basis column's sign on its own, on the dense and the Gram route
+    alike, so cutting the full-rank fit of some clusters gives their
+    ``gmm_from_assignments(..., rank)`` fit, bit for bit.
+    """
+    comps = []
+    for c in full.components:
+        spec = c.spectrum
+        # Every kept eigenvalue is above a zero floor, so this is
+        # min(rank, spec.rank), and a negative rank fails as in a fit.
+        k = _kept(spec.eigenvalues, rank, 0.0)
+        comps.append(GaussianComponent(
+            c.weight, CompactSpectrum(spec.mean, spec.basis[:, :k], spec.eigenvalues[:k])))
     return MixtureModel(tuple(comps))
 
 
@@ -241,12 +260,14 @@ def rank_mode_sweep(
 ) -> SweepTable:
     """Fraction of unexplained variance of fitted GMMs against a reference.
 
-    Fits once per (K, rank); probes are drawn from N(0, sigma^2 I) with a
-    per-sigma seed, so every (K, rank) cell at the same sigma sees identical
-    probes. The probes and the reference score are computed once per sigma,
-    before any fit; each cell scores only its fitted mixture. Every row
-    equals ``unexplained_variance(reference, model, sigma, n_probe,
-    seed=<sigma's seed>)``. Emits one long-format row per (K, rank, sigma).
+    Clusters and fits each K once, at full rank; every rank's mixture cuts
+    that fit down, which equals fitting it at that rank. Probes are drawn
+    from N(0, sigma^2 I) with a per-sigma seed, so every (K, rank) cell at
+    the same sigma sees identical probes. The probes and the reference
+    score are computed once per sigma, before any fit; each cell scores
+    only its mixture. Every row equals ``unexplained_variance(reference,
+    model, sigma, n_probe, seed=<sigma's seed>)``. Emits one long-format row
+    per (K, rank, sigma).
     """
     from .analysis import probe_points, ratio_stats
 
@@ -263,8 +284,9 @@ def rank_mode_sweep(
     rows = []
     for k in k_list:
         km = minibatch_kmeans_full(cloud, k, batch, seed, max_iter)
+        full = gmm_from_assignments(cloud, km.assignments, None)
         for rank in rank_list:
-            model = gmm_from_assignments(cloud, km.assignments, rank)
+            model = full if rank is None else _truncated(full, rank)
             for sigma, x, s_ref in zip(sigma_list, probes, ref_scores):
                 stats = ratio_stats(s_ref, model.score(x, sigma), sigma)
                 rows.append(

@@ -29,14 +29,15 @@ A mixture row whose quadratic form overflows near the top of the sigma
 domain retakes it on ``x/sigma`` and ``mu/sigma``.
 
 Threads live in one place: a module-level pool of ``W - 1`` workers, W being
-the usable CPU count. A mixture call splits its rows into at most W
-contiguous shares, as many as keep every share at ``_SHARE`` = 2^24
-difference elements (share rows x components x D) or more; the caller works
-the first share and the pool the rest. numpy's einsum and ufunc loops
-release the GIL, so the shares run at once, and since every row is a pure
-function of its input row, the output bits do not depend on W. A call too
-small for two shares runs on the calling thread alone, and importing this
-module starts no thread.
+the usable CPU count, which ``_in_shares`` feeds. A mixture call splits its
+rows into at most W contiguous shares, as many as keep every share at
+``_SHARE`` = 2^17 difference elements (share rows x components x D) or more;
+the caller works the first share and the pool the rest. k-means distance
+passes (``gmmfit``) split the same way, with centers in place of
+components. numpy's einsum and ufunc loops release the GIL, so the shares
+run at once, and since every row is a pure function of its input row, the
+output bits do not depend on W. A call too small for two shares runs on the
+calling thread alone, and importing this module starts no thread.
 
 Gaussian log-densities never touch a D x D matrix: with the compact spectrum
 ``Sigma = U diag(lam) U^T``,
@@ -101,10 +102,11 @@ _CHUNK = 256
 _BLOCK = 1 << 16
 
 # Usable CPUs, the difference elements a row share of a posterior-mixture
-# call must carry, and the pool that works every share but the caller's (see
-# the module docstring). The pool's threads start at its first task.
+# call or a k-means distance pass must carry, and the pool that works every
+# share but the caller's (see the module docstring). The pool's threads start
+# at its first task.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_SHARE = 1 << 24
+_SHARE = 1 << 17
 _POOL = ThreadPoolExecutor(max_workers=max(1, _CPUS - 1), thread_name_prefix="scorefield")
 
 # Exactly the noise levels whose square is a normal, finite double.
@@ -127,6 +129,29 @@ def _check_sigma(sigma) -> float:
             f"is a normal finite double, got {sigma}"
         )
     return sigma
+
+
+def _in_shares(m: int, per_row: int, work) -> None:
+    """Run ``work(lo, hi)`` over rows 0:m in at most ``_CPUS`` contiguous
+    shares, as many as keep every share at ``_SHARE`` elements (``per_row``
+    each) or more. The caller works the first share and the pool the rest.
+
+    ``work`` must write each row as a pure function of its input row, so the
+    bits do not depend on the shares. Pool tasks run in a copy of the
+    caller's context, which carries its np.errstate, and never submit to the
+    pool themselves. A call of fewer than two rows is one share and never
+    reads the gate.
+    """
+    shares = 1
+    if m > 1:
+        shares = max(1, min(_CPUS, m // -(-_SHARE // per_row)))
+    tasks = [_POOL.submit(contextvars.copy_context().run, work,
+                          m * i // shares, m * (i + 1) // shares) for i in range(1, shares)]
+    try:
+        work(0, m // shares)
+    finally:
+        for task in tasks:
+            task.result()
 
 
 def _stacked(arrays) -> np.ndarray:
@@ -170,12 +195,11 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def _gaussian_denoise(spec: CompactSpectrum, xb: np.ndarray, sigma: float) -> np.ndarray:
     """mean + U diag[lam/(lam+sigma^2)] U^T (x - mean), in O(D r) per row."""
-    out = np.broadcast_to(spec.mean, xb.shape).copy()
-    if spec.rank:
-        shrink = spec.eigenvalues / (spec.eigenvalues + sigma**2)
-        c = _project(xb - spec.mean, spec.basis)
-        out = out + _lift(c * shrink, spec.basis)
-    return out
+    if not spec.rank:
+        return np.broadcast_to(spec.mean, xb.shape).copy()
+    shrink = spec.eigenvalues / (spec.eigenvalues + sigma**2)
+    c = _project(xb - spec.mean, spec.basis)
+    return spec.mean + _lift(c * shrink, spec.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +308,9 @@ class _PosteriorMixture(ScoreModel):
     def _per_chunk(self, x, sigma, width: int, step):
         sigma = _check_sigma(sigma)
         xb, single = _as_batch(x, self.dim)
-        m = xb.shape[0]
-        out = np.empty((m, width))
-        # Every output row is a pure function of its input row, so the bits
-        # do not depend on the shares. Pool tasks run in a copy of the
-        # caller's context, which carries its np.errstate, and never submit
-        # to the pool themselves.
-        shares = 1
-        if m > 1:
-            shares = max(1, min(_CPUS, m // -(-_SHARE // (self.n_components * xb.shape[1]))))
-        tasks = []
-        for i in range(1, shares):
-            tasks.append(_POOL.submit(contextvars.copy_context().run, self._chunks, out, xb, sigma,
-                                      step, m * i // shares, m * (i + 1) // shares))
-        try:
-            self._chunks(out, xb, sigma, step, 0, m // shares)
-        finally:
-            for task in tasks:
-                task.result()
+        out = np.empty((xb.shape[0], width))
+        _in_shares(xb.shape[0], self.n_components * xb.shape[1],
+                   lambda lo, hi: self._chunks(out, xb, sigma, step, lo, hi))
         return out[0] if single else out
 
     def denoise(self, x, sigma):

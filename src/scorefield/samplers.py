@@ -101,7 +101,7 @@ def _integrate(sampler: str, model: ScoreModel, x_start, arg: str, step, sigma: 
     states[0] = x
     for i in range(sigma.size - 1):
         x, denoised[i] = step(view, x, i)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericalBlowup(
                 f"{sampler} produced a non-finite state at step {i}", step=i)
         states[i + 1] = x

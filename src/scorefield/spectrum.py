@@ -239,8 +239,6 @@ def compact_spectrum(
     gap = np.max(work)
     if gap > 1e-8 * scale:
         raise InvalidData("covariance is not symmetric within 1e-8")
-    if max_rank is not None and max_rank < 0:
-        raise InvalidData("max_rank must be >= 0")
     if eig_floor is not None and eig_floor < 0:
         raise InvalidData("eig_floor must be >= 0")
 
@@ -258,6 +256,8 @@ def _kept(eigvals, max_rank, eig_floor) -> int:
     """How many of the descending ``eigvals`` to keep: those above
     ``eig_floor`` (default ``1e-10 * lambda_max``), at most ``max_rank``.
     The kept set is a prefix, since the eigenvalues are sorted."""
+    if max_rank is not None and max_rank < 0:
+        raise InvalidData("max_rank must be >= 0")
     if eig_floor is None:
         lam_max = eigvals[0] if eigvals.size else 0.0
         eig_floor = 1e-10 * max(lam_max, 0.0)

@@ -1,14 +1,21 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import scorefield.gmmfit
+import scorefield.models
 from scorefield.analysis import unexplained_variance
-from scorefield.errors import InvalidInput, InvalidK, InvalidNoise
+from scorefield.errors import InvalidData, InvalidInput, InvalidK, InvalidNoise
 from scorefield.gmmfit import (
     _kmeans_pp_init,
     _sq_dists,
     fit_gmm,
     gmm_from_assignments,
-    minibatch_kmeans,
     minibatch_kmeans_full,
     minimal_sufficient_rank,
     rank_mode_sweep,
@@ -38,7 +45,7 @@ class TestMinibatchKmeans:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_two_well_separated_clusters(self, seed):
         cloud = two_cluster_cloud(60, 3, seed=5, separation=20.0, spread=0.1)
-        assign = minibatch_kmeans(cloud, 2, seed=seed)
+        assign = minibatch_kmeans_full(cloud, 2, seed=seed).assignments
         # oracle: brute-force nearest of the two true centers
         centers = np.zeros((2, 3))
         centers[0, 0], centers[1, 0] = 10.0, -10.0
@@ -50,7 +57,7 @@ class TestMinibatchKmeans:
     def test_k_equals_n_singletons(self):
         rng = np.random.default_rng(3)
         cloud = PointCloud(rng.standard_normal((12, 2)))
-        assign = minibatch_kmeans(cloud, 12, seed=0)
+        assign = minibatch_kmeans_full(cloud, 12, seed=0).assignments
         sizes = np.bincount(assign, minlength=12)
         assert np.all(sizes == 1)
 
@@ -65,15 +72,72 @@ class TestMinibatchKmeans:
     def test_invalid_k(self):
         cloud = PointCloud(np.zeros((5, 2)))
         with pytest.raises(InvalidK):
-            minibatch_kmeans(cloud, 6)
+            minibatch_kmeans_full(cloud, 6).assignments
         with pytest.raises(InvalidK):
-            minibatch_kmeans(cloud, 0)
+            minibatch_kmeans_full(cloud, 0).assignments
 
     def test_no_empty_clusters(self):
         cloud = two_cluster_cloud(40, 2, seed=2, separation=30.0, spread=0.05)
         # K=5 on two tight blobs forces empty-cluster repair
-        assign = minibatch_kmeans(cloud, 5, seed=0)
+        assign = minibatch_kmeans_full(cloud, 5, seed=0).assignments
         assert np.all(np.bincount(assign, minlength=5) >= 1)
+
+
+class CountingPool(ThreadPoolExecutor):
+    def __init__(self, workers):
+        super().__init__(max_workers=workers)
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestKmeansShares:
+    """k-means distance passes split their rows like posterior-mixture calls."""
+
+    def split(self, monkeypatch, workers):
+        pool = CountingPool(max(1, workers - 1))
+        monkeypatch.setattr(scorefield.models, "_CPUS", workers)
+        monkeypatch.setattr(scorefield.models, "_SHARE", 1)
+        monkeypatch.setattr(scorefield.models, "_POOL", pool)
+        return pool
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bits_do_not_depend_on_worker_count(self, monkeypatch, workers):
+        cloud = gmm_cloud(301, 5, k=4, seed=12)
+        whole = minibatch_kmeans_full(cloud, 6, batch=97, seed=3, max_iter=20)
+        pool = self.split(monkeypatch, workers)
+        try:
+            split = minibatch_kmeans_full(cloud, 6, batch=97, seed=3, max_iter=20)
+        finally:
+            pool.shutdown()
+        # One distance pass per iteration, then the final assignment.
+        assert pool.submitted == (whole.iterations + 1) * (workers - 1)
+        np.testing.assert_array_equal(split.assignments, whole.assignments)
+        assert split.centers.tobytes() == whole.centers.tobytes()
+        assert split.iterations == whole.iterations
+        assert split.inertia == whole.inertia
+
+    def test_small_fits_start_no_thread(self):
+        # The set-up fit of the ensemble benchmark: 4000 x 16, K = 4, mini-batches
+        # of 2048 rows, each pass below two shares.
+        code = (
+            "import threading\n"
+            "before = threading.active_count()\n"
+            "from scorefield.gmmfit import minibatch_kmeans_full\n"
+            "from scorefield.synthetic import gmm_cloud\n"
+            "minibatch_kmeans_full(gmm_cloud(4000, 16, k=4, seed=1), 4, seed=1)\n"
+            "print(before, threading.active_count())\n"
+        )
+        src = str(Path(scorefield.gmmfit.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(int, proc.stdout.split())
+        assert before == after
 
 
 def sequential_kmeans(cloud, k, batch, seed, max_iter, tol=1e-6):
@@ -267,35 +331,63 @@ class TestRankModeSweep:
         assert len(lines) == 1 + 4
 
     def test_reference_scored_once_per_sigma(self):
-        calls = []
+        # Clusters with N >= D, whose spectra take the dense route, then
+        # clusters with fewer points than dimensions, which take the N x N
+        # Gram route; the ranks include 0, D and more than D.
+        cases = [(anchored_five_cluster_cloud(200, 6, seed=8), [0, 1, 6, 9, None]),
+                 (anchored_five_cluster_cloud(30, 40, seed=8), [0, 3, 40, 41, None])]
+        for cloud, rank_list in cases:
+            calls = []
 
-        class CountingDelta(DeltaMixtureModel):
-            def score(self, x, sigma):
-                calls.append(float(sigma))
-                return super().score(x, sigma)
+            class CountingDelta(DeltaMixtureModel):
+                def score(self, x, sigma):
+                    calls.append(float(sigma))
+                    return super().score(x, sigma)
 
-        cloud = anchored_five_cluster_cloud(200, 6, seed=8)
-        ref = CountingDelta(cloud)
-        k_list, rank_list, sigmas = [1, 3], [1, None], [0.3, 1.0, 4.0]
-        table = rank_mode_sweep(cloud, k_list, rank_list, sigmas, ref, n_probe=24, seed=9)
-        assert calls == sigmas
+            ref = CountingDelta(cloud)
+            k_list, sigmas = [1, 3], [0.3, 1.0, 4.0]
+            table = rank_mode_sweep(cloud, k_list, rank_list, sigmas, ref, n_probe=24, seed=9)
+            assert calls == sigmas
 
-        probe_seeds = np.random.SeedSequence(9).spawn(len(sigmas))
-        rows = iter(table.rows)
-        for k in k_list:
-            assign = minibatch_kmeans(cloud, k, seed=9)
-            for rank in rank_list:
-                model = gmm_from_assignments(cloud, assign, rank)
-                for j, sigma in enumerate(sigmas):
-                    st = unexplained_variance(ref, model, sigma, 24, seed=probe_seeds[j])
-                    row = next(rows)
-                    assert (row["k"], row["rank"], row["sigma"]) == (k, rank, sigma)
-                    assert row["mean_uv"] == st.mean
-                    assert row["q25"] == st.q25
-                    assert row["q75"] == st.q75
-                    assert row["ratio_of_sums"] == st.ratio_of_sums
-                    assert row["n_excluded"] == st.n_excluded
-        assert next(rows, None) is None
+            probe_seeds = np.random.SeedSequence(9).spawn(len(sigmas))
+            rows = iter(table.rows)
+            for k in k_list:
+                assign = minibatch_kmeans_full(cloud, k, seed=9).assignments
+                for rank in rank_list:
+                    model = gmm_from_assignments(cloud, assign, rank)
+                    for j, sigma in enumerate(sigmas):
+                        st = unexplained_variance(ref, model, sigma, 24, seed=probe_seeds[j])
+                        row = next(rows)
+                        assert (row["k"], row["rank"], row["sigma"]) == (k, rank, sigma)
+                        assert row["mean_uv"] == st.mean
+                        assert row["q25"] == st.q25
+                        assert row["q75"] == st.q75
+                        assert row["ratio_of_sums"] == st.ratio_of_sums
+                        assert row["n_excluded"] == st.n_excluded
+            assert next(rows, None) is None
+
+    def test_one_spectrum_fit_per_cluster_and_k(self, monkeypatch):
+        fits = []
+
+        def counting_fit(cloud, max_rank=None, eig_floor=None):
+            fits.append(max_rank)
+            return spectrum_from_cloud(cloud, max_rank, eig_floor)
+
+        monkeypatch.setattr(scorefield.gmmfit, "spectrum_from_cloud", counting_fit)
+        cloud = gaussian_cloud(400, 8, seed=3)
+        table = rank_mode_sweep(cloud, [1, 2, 4, 8], [0, 2, None], [0.5, 2.0],
+                                DeltaMixtureModel(cloud), n_probe=16, seed=1, max_iter=5)
+        assert len(table.rows) == 4 * 3 * 2
+        assert fits == [None] * 15
+
+    @pytest.mark.parametrize("shape", [(40, 3), (12, 20)])
+    def test_negative_rank_rejected(self, shape):
+        # Both spectrum routes: N >= D and the Gram route (N < D).
+        cloud = PointCloud(np.random.default_rng(5).standard_normal(shape))
+        with pytest.raises(InvalidData, match="max_rank must be >= 0"):
+            gmm_from_assignments(cloud, np.zeros(shape[0], dtype=int), -1)
+        with pytest.raises(InvalidData, match="max_rank must be >= 0"):
+            rank_mode_sweep(cloud, [1], [2, -1], [1.0], DeltaMixtureModel(cloud), n_probe=4)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_nonpositive_sigma_rejected(self, sigma):
