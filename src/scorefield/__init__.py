@@ -40,15 +40,7 @@ from .models import (
     IsotropicModel,
     MixtureModel,
     ScoreModel,
-    delta_denoise,
-    delta_score,
-    gaussian_denoise,
-    gaussian_score,
-    gmm_denoise,
-    gmm_score,
-    iso_score,
     load_model,
-    mixture_weights,
     save_model,
 )
 from .samplers import (
@@ -77,7 +69,6 @@ from .solution import (
     rotation_correction,
     rotation_decompose,
     solve_denoiser,
-    solve_denoiser_vp,
     solve_state,
     solve_state_vp,
     xi,
@@ -88,7 +79,6 @@ from .spectrum import (
     compact_spectrum,
     estimate_moments,
     load_cloud,
-    manifold_split,
     save_cloud,
     spectrum_from_cloud,
 )

@@ -182,11 +182,15 @@ class CurveTable:
 def analytical_curves(schedule: NoiseSchedule, lambdas, t_grid) -> CurveTable:
     """Evaluate psi_bar, xi_bar / sqrt(lambda), its derivative (central
     differences on the grid), and the perturbation gain, anchored at the
-    schedule horizon T."""
+    schedule horizon T. Every lambda must be finite and > 0, as the
+    eigenvalues of a compact spectrum are."""
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1 or t.size < 3:
         raise InvalidInput("t_grid must be 1-D with at least 3 points")
     lambdas = np.asarray(lambdas, dtype=np.float64).reshape(-1)
+    for lam in lambdas:
+        if not 0 < lam < np.inf:  # also rejects NaN
+            raise InvalidInput(f"lambda must be finite and > 0, got {lam:g}")
     alpha = np.asarray(schedule.alpha(t), dtype=np.float64)
     sigma = np.asarray(schedule.sigma(t), dtype=np.float64)
     alpha_T = float(schedule.alpha(schedule.T))
@@ -253,9 +257,10 @@ class SliceField:
 def slice_field(models, anchors, sigma: float, grid_n: int = 40, extent: float | None = None) -> SliceField:
     """Evaluate each model's score on the plane spanned by three anchors.
 
-    ``extent`` bounds the (u, v) square grid; by default it is 1.5x the
-    largest anchor plane coordinate. Raises DegeneratePlane for collinear
-    anchors.
+    ``extent`` bounds the (u, v) square grid and must be finite and > 0; by
+    default it is 1.5x the largest anchor plane coordinate. Raises DegeneratePlane for collinear
+    anchors and NumericalBlowup naming ``sigma`` if any projected score or
+    norm is non-finite.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     if anchors.shape[0] != 3:
@@ -264,6 +269,8 @@ def slice_field(models, anchors, sigma: float, grid_n: int = 40, extent: float |
         raise InvalidNoise(f"sigma must be positive, got {sigma}")
     if grid_n < 2:
         raise InvalidInput(f"grid_n must be >= 2, got {grid_n}")
+    if extent is not None and not 0 < extent < np.inf:  # also rejects NaN
+        raise InvalidInput(f"extent must be finite and > 0, got {extent:g}")
     models = list(models)
     if not models:
         raise InvalidInput("need at least one model")
@@ -293,9 +300,14 @@ def slice_field(models, anchors, sigma: float, grid_n: int = 40, extent: float |
         s = model.score(points, sigma)
         su = (s @ e_u).reshape(grid_n, grid_n)
         sv = (s @ e_v).reshape(grid_n, grid_n)
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(su**2 + sv**2)
+        # A non-finite component makes its norm non-finite too.
+        if not np.isfinite(norm).all():
+            raise NumericalBlowup(f"non-finite slice score at sigma={sigma:g}")
         s_u.append(su)
         s_v.append(sv)
-        norms.append(np.sqrt(su**2 + sv**2))
+        norms.append(norm)
     return SliceField(origin, e_u, e_v, anchor_uv, u, v, tuple(s_u), tuple(s_v), tuple(norms))
 
 

@@ -5,10 +5,11 @@ the noise-corrupted distribution follows from it once, in ``ScoreModel``, as
 ``s(x, sigma) = (D(x, sigma) - x) / sigma^2``. The two mixtures share one
 posterior-weight loop: their denoiser is ``sum_i w_i(x, sigma) D_i(x, sigma)``,
 where ``D_i`` is a Gaussian component's denoiser or, for the delta mixture,
-the training point ``y_i``. All operations accept a single query point of
-shape (D,) or a batch of shape (M, D); every output row is a pure function of
-its input row, so batched and single-point calls agree bitwise. Noise levels
-must satisfy ``1.49e-154 <= sigma <= 1.34e154`` (``sigma^2`` a normal double).
+the training point ``y_i``. All operations accept a single finite query
+point of shape (D,) or a batch of shape (M, D); every output row is a pure
+function of its input row, so batched and single-point calls agree bitwise.
+Noise levels must satisfy ``1.49e-154 <= sigma <= 1.34e154`` (``sigma^2`` a
+normal double).
 
 Mixture weights are always computed in log space with max subtraction; the
 softmax of Gaussian log-densities otherwise underflows catastrophically at
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidData, InvalidNoise, ShapeError, WrongVariant
+from .errors import EmptyInput, InvalidData, InvalidInput, InvalidNoise, ShapeError, WrongVariant
 from .spectrum import (
     CompactSpectrum,
     PointCloud,
@@ -77,14 +78,6 @@ __all__ = [
     "GaussianComponent",
     "MixtureModel",
     "DeltaMixtureModel",
-    "iso_score",
-    "gaussian_score",
-    "gaussian_denoise",
-    "mixture_weights",
-    "gmm_score",
-    "gmm_denoise",
-    "delta_score",
-    "delta_denoise",
     "model_fingerprint",
     "model_to_json",
     "model_from_json",
@@ -167,6 +160,9 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != dim:
         raise ShapeError(f"query points must have dimension {dim}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+        raise InvalidInput(f"query point row {row} is not finite")
     return x, single
 
 
@@ -518,60 +514,6 @@ class DeltaMixtureModel(_PosteriorMixture):
         if y.shape[1] == 1:
             return np.einsum("mn,nd->md", w, y, out=out)
         return np.einsum("nm,nd->md", np.ascontiguousarray(w.T), y, out=out)
-
-
-# ---------------------------------------------------------------------------
-# Function forms
-# ---------------------------------------------------------------------------
-
-def _expect(model, cls: type, fn: str):
-    if not isinstance(model, cls):
-        raise WrongVariant(f"{fn} needs a mixture variant, got {getattr(model, 'variant', type(model))!r}")
-    return model
-
-
-def iso_score(mean, x, sigma):
-    """Isotropic score (mean - x) / sigma^2; the covariance-free model."""
-    return IsotropicModel(mean).score(x, sigma)
-
-
-def gaussian_score(spec: CompactSpectrum, x, sigma):
-    """Score of N(mean, Sigma + sigma^2 I): (I - U diag[lam/(lam+sigma^2)] U^T)(mean - x)/sigma^2."""
-    return GaussianModel(spec).score(x, sigma)
-
-
-def gaussian_denoise(spec: CompactSpectrum, x, sigma):
-    """Optimal denoiser mean + U diag[lam/(lam+sigma^2)] U^T (x - mean)."""
-    return GaussianModel(spec).denoise(x, sigma)
-
-
-def mixture_weights(model: ScoreModel, x, sigma):
-    """Posterior component weights w_i(x, sigma), rows summing to 1.
-
-    Mixture: softmax over ``log pi_i + log N(x; mu_i, sigma^2 I + Sigma_i)``.
-    Delta mixture: softmax over ``-|x - y_i|^2 / (2 sigma^2)``.
-    """
-    return _expect(model, _PosteriorMixture, "mixture_weights").posterior_weights(x, sigma)
-
-
-def gmm_score(model: MixtureModel, x, sigma):
-    """Gaussian-mixture score; K = 1 equals gaussian_score."""
-    return _expect(model, MixtureModel, "gmm_score").score(x, sigma)
-
-
-def gmm_denoise(model: MixtureModel, x, sigma):
-    """Weighted sum of per-component optimal denoisers."""
-    return _expect(model, MixtureModel, "gmm_denoise").denoise(x, sigma)
-
-
-def delta_score(cloud: PointCloud, x, sigma):
-    """Exact score of a finite point cloud, (1/sigma^2)(sum_i w_i y_i - x)."""
-    return DeltaMixtureModel(cloud).score(x, sigma)
-
-
-def delta_denoise(cloud: PointCloud, x, sigma):
-    """Softmax-weighted combination of training points (their convex hull)."""
-    return DeltaMixtureModel(cloud).denoise(x, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "rk4_sample",
     "teleport_sample",
     "ddim_style_sample",
-    "evaluate_denoised",
     "save_trajectory_csv",
     "load_trajectory_csv",
 ]
@@ -280,20 +279,6 @@ def ddim_style_sample(
 
     return _integrate("ddim", model, x_T, "x_T", step, sigmas, t=times, alpha=alphas,
                       n_step=n_step)
-
-
-def evaluate_denoised(model: ScoreModel, traj: Trajectory) -> Trajectory:
-    """Fill the denoised column at every recorded level (post-hoc analysis;
-    these evaluations are not part of the sampling NFE)."""
-    den = np.empty_like(traj.states)
-    for i in range(traj.sigma.size):
-        sigma = traj.sigma[i]
-        alpha = traj.alpha[i]
-        if sigma <= 0:
-            den[i] = traj.states[i] / alpha
-        else:
-            den[i] = model.denoise(traj.states[i] / alpha, sigma / alpha)
-    return Trajectory(traj.t, traj.sigma, traj.alpha, traj.states, den, dict(traj.metadata))
 
 
 # ---------------------------------------------------------------------------

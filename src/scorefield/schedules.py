@@ -29,7 +29,6 @@ __all__ = [
     "vp_schedule",
     "convert_notation",
     "schedule_from_config",
-    "grid_from_config",
     "parse_grid_spec",
     "parse_schedule_spec",
 ]
@@ -248,16 +247,6 @@ def convert_notation(framework: str, params: dict) -> NoiseSchedule:
 # Config parsing (JSON objects and compact spec strings)
 # ---------------------------------------------------------------------------
 
-def grid_from_config(cfg: dict) -> NoiseGrid:
-    """Grid from {sigma_min, sigma_max, rho, n_step}."""
-    return karras_grid(
-        float(cfg["sigma_min"]),
-        float(cfg["sigma_max"]),
-        float(cfg.get("rho", 7.0)),
-        int(cfg.get("n_step", 18)),
-    )
-
-
 def schedule_from_config(cfg: dict) -> NoiseSchedule:
     """Schedule from {kind: "edm"|"vp"|"table", ...} config JSON."""
     kind = cfg["kind"].lower()
@@ -278,7 +267,7 @@ def parse_grid_spec(spec: str) -> NoiseGrid:
     parts = spec.split(":")
     if len(parts) != 4:
         raise InvalidInput(f"grid spec must be 'sigma_min:sigma_max:rho:n', got {spec!r}")
-    return grid_from_config(dict(zip(("sigma_min", "sigma_max", "rho", "n_step"), parts)))
+    return karras_grid(float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3]))
 
 
 def parse_schedule_spec(spec: str) -> NoiseSchedule:

@@ -33,7 +33,6 @@ __all__ = [
     "solve_denoiser",
     "endpoint",
     "solve_state_vp",
-    "solve_denoiser_vp",
     "perturbation_gain",
     "perturbation_shift",
     "rotation_correction",
@@ -57,8 +56,7 @@ def psi(sigma_t, sigma_T, lam):
     _check_nonneg(sigma_t=sigma_t, lam=lam)
     if np.any(np.asarray(sigma_T) <= 0):
         raise InvalidInput(f"sigma_T must be positive, got {sigma_T}")
-    sigma_t, sigma_T, lam = np.asarray(sigma_t, float), np.asarray(sigma_T, float), np.asarray(lam, float)
-    return np.sqrt((sigma_t**2 + lam) / (sigma_T**2 + lam))
+    return psi_vp(1.0, np.asarray(sigma_t, float), 1.0, np.asarray(sigma_T, float), lam)
 
 
 def xi(sigma_t, sigma_T, lam):
@@ -70,8 +68,7 @@ def xi(sigma_t, sigma_T, lam):
     _check_nonneg(sigma_t=sigma_t, lam=lam)
     if np.any(np.asarray(sigma_T) <= 0):
         raise InvalidInput(f"sigma_T must be positive, got {sigma_T}")
-    sigma_t, sigma_T, lam = np.asarray(sigma_t, float), np.asarray(sigma_T, float), np.asarray(lam, float)
-    return lam / (np.sqrt(lam + sigma_t**2) * np.sqrt(lam + sigma_T**2))
+    return xi_vp(1.0, np.asarray(sigma_t, float), 1.0, np.asarray(sigma_T, float), lam)
 
 
 def psi_vp(alpha_t, sigma_t, alpha_T, sigma_T, lam):
@@ -175,15 +172,6 @@ def solve_state_vp(ctx: SolutionContext, schedule: NoiseSchedule, t: float) -> n
     if alpha_t <= 0:
         raise InvalidSchedule(f"alpha_t must be positive, got {alpha_t} at t={t}")
     return _state_at(ctx, alpha_t, sigma_t)
-
-
-def solve_denoiser_vp(ctx: SolutionContext, schedule: NoiseSchedule, t: float) -> np.ndarray:
-    """Denoiser output along the scaled-schedule trajectory."""
-    alpha_t = float(schedule.alpha(t))
-    sigma_t = float(schedule.sigma(t))
-    if alpha_t <= 0:
-        raise InvalidSchedule(f"alpha_t must be positive, got {alpha_t} at t={t}")
-    return _denoiser_at(ctx, alpha_t, sigma_t)
 
 
 def perturbation_gain(lam, alpha_tp, sigma_tp):

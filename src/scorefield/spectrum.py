@@ -9,7 +9,6 @@ zero covariance) yields an r = 0 spectrum, which stays valid downstream.
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 import struct
@@ -25,7 +24,6 @@ __all__ = [
     "estimate_moments",
     "compact_spectrum",
     "spectrum_from_cloud",
-    "manifold_split",
     "load_cloud_csv",
     "save_cloud_csv",
     "load_cloud_binary",
@@ -34,8 +32,6 @@ __all__ = [
     "save_cloud",
     "spectrum_to_json",
     "spectrum_from_json",
-    "load_spectrum",
-    "save_spectrum",
 ]
 
 _BINARY_MAGIC = b"PCLD1"
@@ -301,25 +297,6 @@ def spectrum_from_cloud(
     return CompactSpectrum(mean, _fix_column_signs(basis[:, :k]), eigvals[:k])
 
 
-def manifold_split(
-    spec: CompactSpectrum, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split x - mean into on-manifold coefficients and off-manifold residual.
-
-    Returns ``coeffs`` with ``coeffs[k] = u_k . (x - mean)`` and
-    ``residual = (x - mean) - U coeffs``, so that
-    ``mean + U coeffs + residual == x`` and the residual is orthogonal to
-    every basis column.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != spec.dim:
-        raise ShapeError(f"x has length {x.size}, spectrum dimension is {spec.dim}")
-    diff = x - spec.mean
-    coeffs = spec.basis.T @ diff
-    residual = diff - spec.basis @ coeffs
-    return coeffs, residual
-
-
 # ---------------------------------------------------------------------------
 # Point-cloud file formats
 # ---------------------------------------------------------------------------
@@ -437,12 +414,3 @@ def spectrum_from_json(obj: dict) -> CompactSpectrum:
         basis = np.zeros((mean.size, 0))
     return CompactSpectrum(mean, basis, eigs)
 
-
-def save_spectrum(spec: CompactSpectrum, path) -> None:
-    with open(path, "w") as f:
-        json.dump(spectrum_to_json(spec), f)
-
-
-def load_spectrum(path) -> CompactSpectrum:
-    with open(path) as f:
-        return spectrum_from_json(json.load(f))

@@ -244,6 +244,24 @@ class TestSlice:
         assert first[0].startswith("# anchors_uv=")
         assert first[1] == "u,v,s_u,s_v,norm"
 
+    @pytest.mark.parametrize("extent", ["nan", "inf", "0", "-1", "1e300"])
+    def test_bad_extent_exit_1(self, tmp_path, cloud_file, capsys, extent):
+        # nan, inf, 0 and -1 are no half-width; at 1e300 the squared score
+        # components overflow and the norm is inf.
+        anchors = tmp_path / "anchors.csv"
+        np.savetxt(anchors, np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0], [0, 1.0, 0, 0]]),
+                   delimiter=",")
+        out = tmp_path / "slices"
+        assert run(["slice", "--models", f"gaussian:{cloud_file},iso:{cloud_file}",
+                    "--anchors", str(anchors), "--sigma", "0.5", "--grid-n", "6",
+                    f"--extent={extent}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        if extent == "1e300":
+            assert "non-finite slice score at sigma=0.5" in err
+        else:
+            assert f"extent must be finite and > 0, got {extent}" in err
+        assert not out.exists()
+
 
 class TestCurves:
     def test_unit_lambda_gain_column(self, tmp_path):
@@ -255,6 +273,16 @@ class TestCurves:
         gain_col = header.index("gain_1")
         for line in lines[1:]:
             assert abs(float(line.split(",")[gain_col]) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("lam", ["0", "inf", "nan", "-1"])
+    def test_bad_lambda_exit_1(self, tmp_path, capsys, lam):
+        # lambda = 0 would give 0/0 in xi / sqrt(lambda); every lambda must be
+        # an eigenvalue of some compact spectrum.
+        out = tmp_path / "curves.csv"
+        assert run(["curves", "--schedule", "vp:0.1:20:1", f"--lambdas=1,{lam}",
+                    "--n-t", "11", "--out", str(out)]) == 1
+        assert f"lambda must be finite and > 0, got {lam}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBimodal:

@@ -20,7 +20,7 @@ from scorefield.gmmfit import (
     minimal_sufficient_rank,
     rank_mode_sweep,
 )
-from scorefield.models import DeltaMixtureModel, GaussianModel, delta_score, gaussian_score, gmm_score
+from scorefield.models import DeltaMixtureModel, GaussianModel
 from scorefield.spectrum import PointCloud, estimate_moments, spectrum_from_cloud
 from scorefield.synthetic import (
     anchored_five_cluster_cloud,
@@ -240,8 +240,8 @@ class TestFitGmm:
         for _ in range(50):
             x = rng.standard_normal(5) * 2
             sigma = float(rng.uniform(0.1, 5))
-            a = gmm_score(model, x, sigma)
-            b = gaussian_score(spec, x, sigma)
+            a = model.score(x, sigma)
+            b = GaussianModel(spec).score(x, sigma)
             assert np.linalg.norm(a - b) < 1e-10 * max(np.linalg.norm(b), 1.0)
 
     def test_two_cluster_moments(self):
@@ -267,8 +267,8 @@ class TestFitGmm:
         for _ in range(50):
             x = rng.standard_normal(3) * 2
             sigma = float(rng.uniform(0.1, 5))
-            a = gmm_score(model, x, sigma)
-            b = delta_score(cloud, x, sigma)
+            a = model.score(x, sigma)
+            b = DeltaMixtureModel(cloud).score(x, sigma)
             assert np.linalg.norm(a - b) < 1e-10 * max(np.linalg.norm(b), 1.0)
 
     def test_weights_sum_to_one(self):

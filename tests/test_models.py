@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import scorefield.models
-from scorefield.errors import InvalidNoise, WrongVariant
+from scorefield.errors import InvalidInput, InvalidNoise
 from scorefield.gmmfit import fit_gmm
 from scorefield.models import (
     _BLOCK,
@@ -20,13 +20,6 @@ from scorefield.models import (
     GaussianModel,
     IsotropicModel,
     MixtureModel,
-    delta_denoise,
-    delta_score,
-    gaussian_denoise,
-    gaussian_score,
-    gmm_score,
-    iso_score,
-    mixture_weights,
 )
 from scorefield.spectrum import CompactSpectrum, PointCloud, spectrum_from_cloud
 
@@ -46,36 +39,36 @@ def zero_cov_spectrum(mean):
 class TestIsoScore:
     def test_zero_at_mean(self):
         mu = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(iso_score(mu, mu, 3.0), np.zeros(2))
+        np.testing.assert_array_equal(IsotropicModel(mu).score(mu, 3.0), np.zeros(2))
 
     def test_hand_values(self):
-        np.testing.assert_allclose(iso_score(np.zeros(2), [2.0, 0.0], 1.0), [-2.0, 0.0])
-        np.testing.assert_allclose(iso_score(np.zeros(2), [2.0, 0.0], 2.0), [-0.5, 0.0])
+        np.testing.assert_allclose(IsotropicModel(np.zeros(2)).score([2.0, 0.0], 1.0), [-2.0, 0.0])
+        np.testing.assert_allclose(IsotropicModel(np.zeros(2)).score([2.0, 0.0], 2.0), [-0.5, 0.0])
 
     def test_sigma_validation(self):
         with pytest.raises(InvalidNoise):
-            iso_score(np.zeros(2), np.zeros(2), 0.0)
+            IsotropicModel(np.zeros(2)).score(np.zeros(2), 0.0)
         with pytest.raises(InvalidNoise):
-            iso_score(np.zeros(2), np.zeros(2), -1.0)
+            IsotropicModel(np.zeros(2)).score(np.zeros(2), -1.0)
 
 
 class TestGaussianScore:
     def test_zero_at_mean(self):
         spec = random_spectrum(1, 5, 2)
-        np.testing.assert_allclose(gaussian_score(spec, spec.mean, 0.7), np.zeros(5), atol=1e-14)
+        np.testing.assert_allclose(GaussianModel(spec).score(spec.mean, 0.7), np.zeros(5), atol=1e-14)
 
     def test_hand_value_via_dense_inverse(self):
         # mu = 0, Sigma = diag(3, 0), sigma = 1, x = (1, 1):
         # (sigma^2 I + Sigma)^-1 (mu - x) = diag(1/4, 1) (-1, -1) = (-1/4, -1)
         spec = CompactSpectrum(np.zeros(2), np.array([[1.0], [0.0]]), [3.0])
-        np.testing.assert_allclose(gaussian_score(spec, [1.0, 1.0], 1.0), [-0.25, -1.0])
+        np.testing.assert_allclose(GaussianModel(spec).score([1.0, 1.0], 1.0), [-0.25, -1.0])
 
     def test_matches_dense_inverse(self):
         spec = random_spectrum(12, 7, 3)
         x = np.random.default_rng(5).standard_normal(7)
         sigma = 0.9
         dense = np.linalg.solve(sigma**2 * np.eye(7) + spec.covariance(), spec.mean - x)
-        np.testing.assert_allclose(gaussian_score(spec, x, sigma), dense, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(GaussianModel(spec).score(x, sigma), dense, rtol=1e-12, atol=1e-13)
 
     def test_rank0_reduces_to_iso(self):
         spec = zero_cov_spectrum([0.5, -1.0, 2.0])
@@ -84,7 +77,7 @@ class TestGaussianScore:
             x = rng.standard_normal(3)
             sigma = rng.uniform(0.1, 10)
             np.testing.assert_array_equal(
-                gaussian_score(spec, x, sigma), iso_score(spec.mean, x, sigma)
+                GaussianModel(spec).score(x, sigma), IsotropicModel(spec.mean).score(x, sigma)
             )
 
     def test_small_sigma_accuracy_against_dense_solve(self):
@@ -97,7 +90,7 @@ class TestGaussianScore:
         for sigma in (1e-4, 1e-3, 1e-2, 0.1, 1.0):
             cov = sigma**2 * np.eye(8) + spec.covariance()
             dense = np.linalg.solve(cov, (spec.mean - x).T).T
-            err = np.linalg.norm(gaussian_score(spec, x, sigma) - dense) / np.linalg.norm(dense)
+            err = np.linalg.norm(GaussianModel(spec).score(x, sigma) - dense) / np.linalg.norm(dense)
             assert err <= 1e-15 * (1.0 + lam_max / sigma**2)
 
 
@@ -105,17 +98,17 @@ class TestGaussianDenoise:
     def test_large_sigma_limit(self):
         spec = random_spectrum(2, 6, 3, lam_range=(0.2, 1.0))
         x = spec.mean + 3.0 * spec.basis[:, 0]
-        out = gaussian_denoise(spec, x, 1e6)
+        out = GaussianModel(spec).denoise(x, 1e6)
         assert np.linalg.norm(out - spec.mean) < 1e-5
 
     def test_single_axis_shrinkage(self):
         spec = CompactSpectrum(np.array([1.0, 1.0]), np.array([[1.0], [0.0]]), [3.0])
-        out = gaussian_denoise(spec, spec.mean + spec.basis[:, 0], 1.0)
+        out = GaussianModel(spec).denoise(spec.mean + spec.basis[:, 0], 1.0)
         np.testing.assert_allclose(out, spec.mean + 0.75 * spec.basis[:, 0])
 
     def test_rank0_returns_mean(self):
         spec = zero_cov_spectrum([1.0, 2.0])
-        np.testing.assert_array_equal(gaussian_denoise(spec, [5.0, -7.0], 0.3), spec.mean)
+        np.testing.assert_array_equal(GaussianModel(spec).denoise([5.0, -7.0], 0.3), spec.mean)
 
 
 class TestMixtureWeights:
@@ -123,12 +116,12 @@ class TestMixtureWeights:
         model = DeltaMixtureModel(PointCloud([[1.0, 0.0], [-1.0, 0.0]]))
         for sigma in (0.05, 1.0, 30.0):
             np.testing.assert_allclose(
-                mixture_weights(model, [0.0, 5.0], sigma), [0.5, 0.5], atol=1e-15
+                model.posterior_weights([0.0, 5.0], sigma), [0.5, 0.5], atol=1e-15
             )
 
     def test_one_hot_at_small_sigma(self):
         model = DeltaMixtureModel(PointCloud([[1.0, 0.0], [-1.0, 0.0]]))
-        w = mixture_weights(model, [1.0, 0.0], 0.1)
+        w = model.posterior_weights([1.0, 0.0], 0.1)
         # log-weight gap is 2 / (2 * 0.01) = 200, so w_2 = exp(-200) < 1e-20
         assert w[0] >= 1.0 - 1e-20
         assert w[1] < 1e-20
@@ -137,26 +130,22 @@ class TestMixtureWeights:
         rng = np.random.default_rng(8)
         cloud = PointCloud(rng.standard_normal((7, 3)))
         model = DeltaMixtureModel(cloud)
-        w = mixture_weights(model, rng.standard_normal(3), 1e4)
+        w = model.posterior_weights(rng.standard_normal(3), 1e4)
         np.testing.assert_allclose(w, np.full(7, 1.0 / 7), atol=1e-6)
         comps = tuple(
             GaussianComponent(1.0 / 3, random_spectrum(s, 3, 1)) for s in (1, 2, 3)
         )
         gmm = MixtureModel(comps)
-        w = mixture_weights(gmm, rng.standard_normal(3), 1e4)
+        w = gmm.posterior_weights(rng.standard_normal(3), 1e4)
         np.testing.assert_allclose(w, np.full(3, 1.0 / 3), atol=1e-6)
 
     def test_log_space_safety(self):
         # separations up to 1e3 at sigma = 1e-6 stay finite via max subtraction
         cloud = PointCloud([[0.0, 0.0], [1e3, 0.0], [0.0, 1e3]])
         model = DeltaMixtureModel(cloud)
-        w = mixture_weights(model, [1.0, 1.0], 1e-6)
+        w = model.posterior_weights([1.0, 1.0], 1e-6)
         assert np.all(np.isfinite(w))
         np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
-
-    def test_wrong_variant(self):
-        with pytest.raises(WrongVariant):
-            mixture_weights(IsotropicModel(np.zeros(2)), np.zeros(2), 1.0)
 
     def test_weights_match_dense_densities(self):
         # oracle: multivariate normal log-densities via dense covariance
@@ -177,7 +166,7 @@ class TestMixtureWeights:
         logps = np.asarray(logps)
         expected = np.exp(logps - logps.max())
         expected /= expected.sum()
-        np.testing.assert_allclose(mixture_weights(model, x, sigma), expected, rtol=1e-10)
+        np.testing.assert_allclose(model.posterior_weights(x, sigma), expected, rtol=1e-10)
 
 
 class TestGmmScore:
@@ -185,8 +174,8 @@ class TestGmmScore:
         spec = random_spectrum(31, 5, 2)
         model = MixtureModel((GaussianComponent(1.0, spec),))
         x = np.random.default_rng(2).standard_normal(5)
-        a = gmm_score(model, x, 1.3)
-        b = gaussian_score(spec, x, 1.3)
+        a = model.score(x, 1.3)
+        b = GaussianModel(spec).score(x, 1.3)
         np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
 
     def test_two_isotropic_modes_hand_value(self):
@@ -195,7 +184,7 @@ class TestGmmScore:
             GaussianComponent(0.5, zero_cov_spectrum([-1.0, 0.0])),
         )
         model = MixtureModel(comps)
-        np.testing.assert_allclose(gmm_score(model, [0.0, 2.0], 1.0), [0.0, -2.0], atol=1e-14)
+        np.testing.assert_allclose(model.score([0.0, 2.0], 1.0), [0.0, -2.0], atol=1e-14)
 
     def test_one_hot_regime_matches_component(self):
         comps = (
@@ -210,11 +199,11 @@ class TestGmmScore:
         model = MixtureModel(comps)
         x = comps[0].spectrum.mean + 0.05
         sigma = 0.5
-        w = mixture_weights(model, x, sigma)
+        w = model.posterior_weights(x, sigma)
         assert w[0] > 1 - 1e-12
         np.testing.assert_allclose(
-            gmm_score(model, x, sigma),
-            gaussian_score(comps[0].spectrum, x, sigma),
+            model.score(x, sigma),
+            GaussianModel(comps[0].spectrum).score(x, sigma),
             atol=1e-10,
         )
 
@@ -278,7 +267,7 @@ def loop_weights_and_denoise(model, xb, sigma):
     w = w / w.sum(axis=1, keepdims=True)
     out = np.zeros_like(xb)
     for i, comp in enumerate(model.components):
-        out += w[:, i : i + 1] * gaussian_denoise(comp.spectrum, xb, sigma)
+        out += w[:, i : i + 1] * GaussianModel(comp.spectrum).denoise(xb, sigma)
     return w, out
 
 
@@ -377,39 +366,39 @@ class TestDeltaScore:
         for sigma in (0.3, 2.0):
             x = np.array([0.5, -0.5])
             np.testing.assert_allclose(
-                delta_score(cloud, x, sigma), (y[0] - x) / sigma**2, rtol=1e-14
+                DeltaMixtureModel(cloud).score(x, sigma), (y[0] - x) / sigma**2, rtol=1e-14
             )
 
     def test_symmetry_zero(self):
         cloud = PointCloud([[1.0, 0.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(delta_score(cloud, [0.0, 0.0], 1.0), np.zeros(2), atol=1e-15)
+        np.testing.assert_allclose(DeltaMixtureModel(cloud).score([0.0, 0.0], 1.0), np.zeros(2), atol=1e-15)
 
     def test_hand_value(self):
         cloud = PointCloud([[1.0, 0.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(delta_score(cloud, [0.0, 2.0], 1.0), [0.0, -2.0], rtol=1e-14)
+        np.testing.assert_allclose(DeltaMixtureModel(cloud).score([0.0, 2.0], 1.0), [0.0, -2.0], rtol=1e-14)
 
 
 class TestDeltaDenoise:
     def test_small_sigma_snaps_to_nearest(self):
         cloud = PointCloud([[0.0, 0.0], [1.0, 0.0]])
-        out = delta_denoise(cloud, [0.2, 0.05], 1e-4)
+        out = DeltaMixtureModel(cloud).denoise([0.2, 0.05], 1e-4)
         np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-10)
 
     def test_large_sigma_pulls_to_mean(self):
         rng = np.random.default_rng(6)
         cloud = PointCloud(rng.standard_normal((9, 4)))
-        out = delta_denoise(cloud, rng.standard_normal(4), 1e5)
+        out = DeltaMixtureModel(cloud).denoise(rng.standard_normal(4), 1e5)
         np.testing.assert_allclose(out, cloud.data.mean(axis=0), atol=1e-6)
 
     def test_bisector_midpoint(self):
         cloud = PointCloud([[1.0, 0.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(delta_denoise(cloud, [0.0, 3.0], 0.7), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(DeltaMixtureModel(cloud).denoise([0.0, 3.0], 0.7), [0.0, 0.0], atol=1e-15)
 
     def test_convex_hull_box(self):
         rng = np.random.default_rng(13)
         cloud = PointCloud(rng.uniform(-1, 1, (20, 3)))
         for sigma in (0.01, 0.5, 50.0):
-            out = delta_denoise(cloud, rng.standard_normal(3) * 3, sigma)
+            out = DeltaMixtureModel(cloud).denoise(rng.standard_normal(3) * 3, sigma)
             assert np.all(out >= cloud.data.min(axis=0) - 1e-12)
             assert np.all(out <= cloud.data.max(axis=0) + 1e-12)
 
@@ -419,10 +408,10 @@ class TestDeltaDenoise:
         x = np.array([[1e5], [-1e5], [0.3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            out = delta_denoise(cloud, x, 1e-150)
+            out = DeltaMixtureModel(cloud).denoise(x, 1e-150)
             np.testing.assert_array_equal(out, [[1.0], [0.0], [0.0]])
             for i in range(x.shape[0]):
-                np.testing.assert_array_equal(out[i], delta_denoise(cloud, x[i], 1e-150))
+                np.testing.assert_array_equal(out[i], DeltaMixtureModel(cloud).denoise(x[i], 1e-150))
             tied = DeltaMixtureModel(PointCloud([[-1.0, 0.0], [1.0, 0.0], [0.0, 3.0]]))
             np.testing.assert_array_equal(
                 tied.posterior_weights([0.0, -1e5], 1e-150), [0.5, 0.5, 0.0]
@@ -581,9 +570,9 @@ class TestBatchEvaluation:
         )
         x = rng.standard_normal((300, 4))  # spans multiple chunks
         for model in (DeltaMixtureModel(cloud), MixtureModel(comps)):
-            w = mixture_weights(model, x, 0.7)
+            w = model.posterior_weights(x, 0.7)
             for i in (0, 128, 255, 299):
-                np.testing.assert_array_equal(w[i], mixture_weights(model, x[i], 0.7))
+                np.testing.assert_array_equal(w[i], model.posterior_weights(x[i], 0.7))
 
 
 class CountingPool(ThreadPoolExecutor):
@@ -603,6 +592,21 @@ def share_models():
         ranked_mixture(92, 6, [2] * 3),
         ranked_mixture(96, 6, [3, 0, 6, 1]),
     ]
+
+
+class TestNonFiniteQueries:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejected_naming_the_first_bad_row(self, bad):
+        models = share_models() + [GaussianModel(random_spectrum(97, 6, 2)),
+                                   IsotropicModel(np.zeros(6))]
+        x = np.zeros((4, 6))
+        x[2, 3] = x[3, 0] = bad
+        for model in models:
+            for call in (model.denoise, model.score):
+                with pytest.raises(InvalidInput, match="row 2 is not finite"):
+                    call(x, 0.5)
+                with pytest.raises(InvalidInput, match="row 0 is not finite"):
+                    call(x[2], 0.5)
 
 
 class TestRowShares:
@@ -642,13 +646,13 @@ class TestRowShares:
             assert model.posterior_weights(x, 0.5).shape == (0, model.n_components)
 
     def test_pool_share_keeps_callers_errstate_and_raises_to_caller(self, monkeypatch):
-        # The infinite row lands in the pool's share, where its distances
-        # give inf - inf.
+        # The far row lands in the pool's share, where its weights underflow
+        # in exp; the row at the origin underflows nowhere.
         model = share_models()[0]
         x = np.zeros((2, model.dim))
-        x[1, 0] = np.inf
+        x[1, 0] = 1e3
         self.split(monkeypatch, 2)
-        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
             model.denoise(x, 0.5)
 
     def test_small_calls_start_no_thread(self):

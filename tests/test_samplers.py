@@ -12,7 +12,6 @@ from scorefield.models import (
 from scorefield.samplers import (
     Trajectory,
     ddim_style_sample,
-    evaluate_denoised,
     heun_sample,
     rk4_sample,
     teleport_sample,
@@ -369,13 +368,3 @@ class TestTrajectoryType:
     def test_sigma_must_decrease(self):
         with pytest.raises(InvalidInput):
             Trajectory([0, 1], [1.0, 1.0], [1, 1], np.zeros((2, 2)))
-
-    def test_evaluate_denoised(self):
-        spec = random_spectrum(15, 4, 2)
-        model = GaussianModel(spec)
-        traj = heun_sample(model, karras_grid(0.1, 5.0, 7.0, 9), np.ones(4))
-        filled = evaluate_denoised(model, traj)
-        assert not np.any(np.isnan(filled.denoised))
-        np.testing.assert_allclose(
-            filled.denoised[-1], model.denoise(traj.states[-1], traj.sigma[-1])
-        )

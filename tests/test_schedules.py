@@ -9,7 +9,6 @@ from scorefield.schedules import (
     TableSchedule,
     VpSchedule,
     convert_notation,
-    grid_from_config,
     karras_grid,
     parse_grid_spec,
     parse_schedule_spec,
@@ -168,8 +167,9 @@ class TestTableSchedule:
 
 class TestConfig:
     def test_grid_config(self):
-        grid = grid_from_config({"sigma_min": 0.002, "sigma_max": 80, "rho": 7, "n_step": 18})
+        grid = parse_grid_spec("0.002:80:7:18")
         assert len(grid) == 18
+        np.testing.assert_array_equal(grid.levels, karras_grid(0.002, 80.0, 7.0, 18).levels)
 
     def test_schedule_configs(self):
         edm = schedule_from_config({"kind": "edm", "sigma_min": 0.01, "sigma_max": 10})

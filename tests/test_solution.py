@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scorefield.errors import DegeneratePlane, InvalidInput
-from scorefield.models import gaussian_denoise, gaussian_score
+from scorefield.models import GaussianModel
 from scorefield.samplers import Trajectory
 from scorefield.schedules import EdmSchedule, VpSchedule
 from scorefield.solution import (
@@ -15,7 +15,6 @@ from scorefield.solution import (
     rotation_correction,
     rotation_decompose,
     solve_denoiser,
-    solve_denoiser_vp,
     solve_state,
     solve_state_vp,
     xi,
@@ -35,9 +34,9 @@ def heun_reference(spec, x_T, sigma_grid):
     x = np.array(x_T, dtype=float)
     for i in range(len(sigma_grid) - 1):
         s, sn = sigma_grid[i], sigma_grid[i + 1]
-        d = -s * gaussian_score(spec, x, s)
+        d = -s * GaussianModel(spec).score(x, s)
         xe = x + (sn - s) * d
-        d2 = -sn * gaussian_score(spec, xe, sn)
+        d2 = -sn * GaussianModel(spec).score(xe, sn)
         x = x + (sn - s) * 0.5 * (d + d2)
     return x
 
@@ -156,7 +155,7 @@ class TestSolveState:
             s = rng.uniform(0.2, sigma_T - 0.1)
             fd = (solve_state(ctx, s + h) - solve_state(ctx, s - h)) / (2 * h)
             x = solve_state(ctx, s)
-            rhs = -s * gaussian_score(spec, x, s)
+            rhs = -s * GaussianModel(spec).score(x, s)
             assert np.linalg.norm(fd - rhs) / max(np.linalg.norm(rhs), 1e-12) < 1e-6
 
 
@@ -181,7 +180,7 @@ class TestSolveDenoiser:
             ctx = SolutionContext.create(spec, rng.standard_normal(7) * 2, sigma_T)
             s = rng.uniform(0.05, sigma_T)
             via_traj = solve_denoiser(ctx, s)
-            via_field = gaussian_denoise(spec, solve_state(ctx, s), s)
+            via_field = GaussianModel(spec).denoise(solve_state(ctx, s), s)
             assert np.linalg.norm(via_traj - via_field) < 1e-10
 
     def test_on_manifold(self):
@@ -232,7 +231,7 @@ def rk4_scaled_reference(spec, schedule, x_T, t_start, t_end, n=4000):
 
     def f(yv, tau):
         tau = max(tau, 1e-12)
-        return -tau * gaussian_score(spec, yv, tau)
+        return -tau * GaussianModel(spec).score(yv, tau)
 
     for i in range(n):
         a, b = taus[i], taus[i + 1]
@@ -256,9 +255,6 @@ class TestScaledSolution:
             t = float(rng.uniform(0.0, 30.0))
             np.testing.assert_allclose(
                 solve_state_vp(ctx, schedule, t), solve_state(ctx, t), atol=1e-12
-            )
-            np.testing.assert_allclose(
-                solve_denoiser_vp(ctx, schedule, t), solve_denoiser(ctx, t), atol=1e-12
             )
 
     def test_vp_rank0_endpoint(self):

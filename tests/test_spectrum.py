@@ -5,16 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorefield.errors import EmptyInput, InvalidData, ShapeError
+from scorefield.errors import EmptyInput, InvalidData, InvalidInput
+from scorefield.solution import SolutionContext
 from scorefield.spectrum import (
     _MOMENT_BLOCK,
     CompactSpectrum,
     PointCloud,
     compact_spectrum,
     estimate_moments,
-    manifold_split,
     spectrum_from_cloud,
 )
+
+
+def manifold_split(spec, x):
+    """On-manifold coefficients and off-manifold residual of x - mean."""
+    ctx = SolutionContext.create(spec, x, 1.0)
+    return ctx.coeffs, ctx.residual
 
 
 def moments_oracle(data):
@@ -335,7 +341,7 @@ class TestManifoldSplit:
         np.testing.assert_allclose(spec.basis.T @ residual, np.zeros(2), atol=1e-10)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInput):
             manifold_split(self._spec(), np.zeros(5))
 
 
