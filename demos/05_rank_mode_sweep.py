@@ -7,8 +7,6 @@ needed to stay within 10% of the full-rank residual shrinks as the noise
 scale grows (small eigenvalues become invisible at high noise).
 """
 
-import numpy as np
-
 from scorefield.gmmfit import minimal_sufficient_rank, rank_mode_sweep
 from scorefield.models import DeltaMixtureModel
 from scorefield.synthetic import anchored_five_cluster_cloud

@@ -13,7 +13,7 @@ import numpy as np
 
 from scorefield import slice_field
 from scorefield.models import DeltaMixtureModel, GaussianModel
-from scorefield.spectrum import PointCloud, spectrum_from_cloud
+from scorefield.spectrum import spectrum_from_cloud
 from scorefield.synthetic import gmm_cloud
 
 out_dir = os.environ.get("SLICE_OUT", "slice_output")

@@ -5,11 +5,13 @@ each cluster's empirical mean and (population) covariance, truncated to the
 requested rank, with weights N_i / N. This is roughly one EM step, which is
 all the score-comparison harness needs.
 
-The k-means distance passes split their rows across CPUs through the
-models' pool (``models._in_shares``), with the same gate as a
-posterior-mixture call; every row is a pure function of its input row, so
-assignments and centers do not depend on the share count. The sweep fits
-each K once at full rank and cuts every rank's mixture from that fit.
+k-means takes every squared distance from the delta score's kernel
+(``models._sq_dists``), with the centers as its rows. Each distance pass
+splits its centers across CPUs through the models' pool
+(``models._in_shares``); every distance row is a pure function of its
+center, so assignments and centers do not depend on the share count. The
+sweep fits each K once at full rank and cuts every rank's mixture from
+that fit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, InvalidK
-from .models import GaussianComponent, MixtureModel, ScoreModel, _in_shares
+from .models import GaussianComponent, MixtureModel, ScoreModel, _in_shares, _sq_dists
 from .spectrum import CompactSpectrum, PointCloud, _kept, spectrum_from_cloud
 
 __all__ = [
@@ -44,21 +46,17 @@ class KMeansResult:
     inertia: float
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # One center at a time into one (N, D) buffer instead of the (N, K, D)
-    # tensor, with the same reduction over D for every entry. The rows split
-    # across CPUs like a posterior-mixture call, each share working on its
-    # own rows of both arrays, so no entry depends on the share count.
-    out = np.empty((points.shape[0], centers.shape[0]))
-    diff = np.empty_like(points)
+def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # Each point's nearest center, ties to the lowest index. The centers are
+    # the distance kernel's rows and split across CPUs, each share filling
+    # its own rows of the (K, N) distances.
+    d2 = np.empty((centers.shape[0], points.shape[0]))
 
     def work(lo: int, hi: int) -> None:
-        for c in range(centers.shape[0]):
-            np.subtract(points[lo:hi], centers[c], out=diff[lo:hi])
-            out[lo:hi, c] = np.einsum("nd,nd->n", diff[lo:hi], diff[lo:hi])
+        d2[lo:hi] = _sq_dists(centers[lo:hi], points)
 
-    _in_shares(points.shape[0], centers.size, work)
-    return out
+    _in_shares(centers.shape[0], points.size, work)
+    return np.argmin(d2, axis=0)
 
 
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -68,8 +66,7 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     centers = np.empty((k, data.shape[1]))
     idx = int(rng.integers(n))
     centers[0] = data[idx]
-    diff = np.subtract(data, centers[0])
-    closest = np.einsum("nd,nd->n", diff, diff)
+    closest = _sq_dists(centers[:1], data)[0]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -77,8 +74,7 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
         else:
             idx = int(rng.choice(n, p=closest / total))
         centers[j] = data[idx]
-        np.subtract(data, centers[j], out=diff)
-        np.minimum(closest, np.einsum("nd,nd->n", diff, diff), out=closest)
+        np.minimum(closest, _sq_dists(centers[j : j + 1], data)[0], out=closest)
     return centers
 
 
@@ -123,7 +119,7 @@ def minibatch_kmeans_full(
     for iterations in range(1, max_iter + 1):
         sample = rng.choice(n, size=take, replace=False)
         np.take(data, sample, axis=0, out=mb, mode="clip")
-        assign = np.argmin(_sq_dists(mb, centers), axis=1)
+        assign = _nearest(mb, centers)
         previous = centers.copy()
         order = np.argsort(assign, kind="stable")
         hit, starts, m = np.unique(assign[order], return_index=True, return_counts=True)
@@ -136,7 +132,7 @@ def minibatch_kmeans_full(
         if shift < CENTER_SHIFT_TOL**2:
             break
 
-    assignments = np.argmin(_sq_dists(data, centers), axis=1)
+    assignments = _nearest(data, centers)
 
     # Empty-cluster repair: move the farthest point of the largest cluster
     # into each empty one. Terminates since the donor always has >= 2 members.
@@ -145,8 +141,7 @@ def minibatch_kmeans_full(
         empty = int(np.argmin(sizes))
         donor = int(np.argmax(sizes))
         members = np.nonzero(assignments == donor)[0]
-        d = np.einsum("nd,nd->n", data[members] - centers[donor], data[members] - centers[donor])
-        far = members[int(np.argmax(d))]
+        far = members[int(np.argmax(_sq_dists(centers[donor : donor + 1], data[members])[0]))]
         assignments[far] = empty
         centers[empty] = data[far]
         sizes[empty] += 1

@@ -33,9 +33,11 @@ Threads live in one place: a module-level pool of ``W - 1`` workers, W being
 the usable CPU count, which ``_in_shares`` feeds. A mixture call splits its
 rows into at most W contiguous shares, as many as keep every share at
 ``_SHARE`` = 2^17 difference elements (share rows x components x D) or more;
-the caller works the first share and the pool the rest. k-means distance
-passes (``gmmfit``) split the same way, with centers in place of
-components. numpy's einsum and ufunc loops release the GIL, so the shares
+the caller works the first share and the pool the rest. A k-means distance
+pass (``gmmfit``) splits its centers instead, as many as keep every share
+at ``_SHARE`` elements (share centers x N x D), each share taking its rows
+of the (K, N) distances from ``_sq_dists``, the one squared-distance
+kernel. numpy's einsum and ufunc loops release the GIL, so the shares
 run at once, and since every row is a pure function of its input row, the
 output bits do not depend on W. A call too small for two shares runs on the
 calling thread alone, and importing this module starts no thread.
@@ -89,13 +91,13 @@ __all__ = [
 # logits without changing per-row results.
 _CHUNK = 256
 
-# Element budget (512 KiB) of the delta kernel's (rows, block, D) difference
-# buffer, whose block of training points is sized to fit it, and of the
+# Element budget (512 KiB) of the distance kernel's (rows, block, D)
+# difference buffer, whose block of points is sized to fit it, and of the
 # Gaussian mixture's stacked (K, rows, D) temporaries, whose chunk of rows is.
 _BLOCK = 1 << 16
 
-# Usable CPUs, the difference elements a row share of a posterior-mixture
-# call or a k-means distance pass must carry, and the pool that works every
+# Usable CPUs, the difference elements a share of a posterior-mixture call
+# or a k-means distance pass must carry, and the pool that works every
 # share but the caller's (see the module docstring). The pool's threads start
 # at its first task.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -147,6 +149,24 @@ def _in_shares(m: int, per_row: int, work) -> None:
             task.result()
 
 
+def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # |x_m - y_n|^2 (M, N), the rows of x against the points of y: the one
+    # squared-distance kernel, of the delta score and k-means. Explicit
+    # differences, since the expanded |x|^2 - 2 x.y + |y|^2 form cancels
+    # catastrophically when the softmax gaps matter most. The points stream
+    # through one (M, block, D) buffer of at most _BLOCK elements, and every
+    # entry is the same reduction over D as on the whole (M, N, D) tensor,
+    # bit for bit, whatever M is.
+    step = max(1, _BLOCK // (x.shape[0] * y.shape[1]))
+    d2 = np.empty((x.shape[0], y.shape[0]))
+    buf = np.empty((x.shape[0], min(step, y.shape[0]), y.shape[1]))
+    for lo in range(0, y.shape[0], step):
+        blk = y[lo : lo + step]
+        diff = np.subtract(x[:, None, :], blk[None], out=buf[:, : blk.shape[0]])
+        np.einsum("mnd,mnd->mn", diff, diff, out=d2[:, lo : lo + step])
+    return d2
+
+
 def _stacked(arrays) -> np.ndarray:
     out = np.ascontiguousarray(np.stack(arrays), dtype=np.float64)
     out.setflags(write=False)
@@ -166,16 +186,6 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _project(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # einsum keeps each output element an independent contiguous reduction,
-    # so results do not depend on the batch size.
-    return np.einsum("md,dr->mr", x, basis)
-
-
-def _lift(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.einsum("mr,dr->md", c, basis)
-
-
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     # In place: the max-subtract, exp and divide each overwrite ``logits``,
     # a fresh C-contiguous (rows, K) array per chunk, which is returned.
@@ -183,19 +193,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     np.exp(logits, out=logits)
     np.divide(logits, logits.sum(axis=1, keepdims=True), out=logits)
     return logits
-
-
-# ---------------------------------------------------------------------------
-# Gaussian formulas (batched, sigma already validated)
-# ---------------------------------------------------------------------------
-
-def _gaussian_denoise(spec: CompactSpectrum, xb: np.ndarray, sigma: float) -> np.ndarray:
-    """mean + U diag[lam/(lam+sigma^2)] U^T (x - mean), in O(D r) per row."""
-    if not spec.rank:
-        return np.broadcast_to(spec.mean, xb.shape).copy()
-    shrink = spec.eigenvalues / (spec.eigenvalues + sigma**2)
-    c = _project(xb - spec.mean, spec.basis)
-    return spec.mean + _lift(c * shrink, spec.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -223,29 +220,6 @@ class ScoreModel:
 
 
 @dataclass(frozen=True)
-class IsotropicModel(ScoreModel):
-    """All structure reduced to the data mean; D(x, sigma) = mean."""
-
-    mean: np.ndarray
-    variant = "isotropic"
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def denoise(self, x, sigma):
-        _check_sigma(sigma)
-        xb, single = _as_batch(x, self.dim)
-        out = np.broadcast_to(self.mean, xb.shape).copy()
-        return out[0] if single else out
-
-
-@dataclass(frozen=True)
 class GaussianModel(ScoreModel):
     """Single Gaussian with a compact (possibly low-rank) spectrum."""
 
@@ -258,13 +232,35 @@ class GaussianModel(ScoreModel):
 
     @classmethod
     def from_cloud(cls, cloud: PointCloud, max_rank: int | None = None) -> "GaussianModel":
-        return cls(spectrum_from_cloud(cloud, max_rank))
+        return GaussianModel(spectrum_from_cloud(cloud, max_rank))
 
     def denoise(self, x, sigma):
+        """mean + U diag[lam/(lam+sigma^2)] U^T (x - mean), in O(D r) per row."""
         sigma = _check_sigma(sigma)
         xb, single = _as_batch(x, self.dim)
-        out = _gaussian_denoise(self.spectrum, xb, sigma)
+        spec = self.spectrum
+        if not spec.rank:
+            out = np.broadcast_to(spec.mean, xb.shape).copy()
+        else:
+            # einsum keeps each output element an independent contiguous
+            # reduction, so results do not depend on the batch size.
+            shrink = spec.eigenvalues / (spec.eigenvalues + sigma**2)
+            c = np.einsum("md,dr->mr", xb - spec.mean, spec.basis)
+            out = spec.mean + np.einsum("mr,dr->md", c * shrink, spec.basis)
         return out[0] if single else out
+
+
+class IsotropicModel(GaussianModel):
+    """The rank-0 Gaussian: all structure reduced to the mean, D(x, sigma) = mean."""
+
+    variant = "isotropic"
+
+    def __init__(self, mean):
+        super().__init__(CompactSpectrum(mean, np.empty((np.size(mean), 0)), np.empty(0)))
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.spectrum.mean
 
 
 @dataclass(frozen=True)
@@ -467,28 +463,11 @@ class DeltaMixtureModel(_PosteriorMixture):
     def _evaluate(self, xb, sigma):
         return self._log_weights(xb, sigma), None
 
-    def _sq_dists(self, xb):
-        # |x - y_i|^2 (rows, N), computed from explicit differences: the
-        # expanded |x|^2 - 2 x.y + |y|^2 form cancels catastrophically when the
-        # softmax gaps matter most. The training points stream through one
-        # (rows, block, D) buffer of at most _BLOCK elements, and every
-        # |x - y_i|^2 is the same reduction over D as on the whole
-        # (rows, N, D) tensor, bit for bit, whatever the row count.
-        y = self.cloud.data
-        step = max(1, _BLOCK // (xb.shape[0] * y.shape[1]))
-        d2 = np.empty((xb.shape[0], y.shape[0]))
-        buf = np.empty((xb.shape[0], min(step, y.shape[0]), y.shape[1]))
-        for lo in range(0, y.shape[0], step):
-            blk = y[lo : lo + step]
-            diff = np.subtract(xb[:, None, :], blk[None], out=buf[:, : blk.shape[0]])
-            np.einsum("mnd,mnd->mn", diff, diff, out=d2[:, lo : lo + step])
-        return d2
-
     def _log_weights(self, xb, sigma):
         # -|x - y_i|^2 / (2 sigma^2), written over the distances: IEEE
         # division is sign-symmetric, so d2 / -(2 sigma^2) has the bits of
         # -d2 / (2 sigma^2).
-        logits = self._sq_dists(xb)
+        logits = _sq_dists(xb, self.cloud.data)
         with np.errstate(over="ignore"):
             np.divide(logits, -(2.0 * sigma**2), out=logits)
             # Far from the cloud at tiny sigma every logit of a row can
@@ -498,7 +477,7 @@ class DeltaMixtureModel(_PosteriorMixture):
             # distances again, which are row-local and so the same bits.
             lost = logits.max(axis=1) == -np.inf
             if lost.any():
-                near = self._sq_dists(xb[lost])
+                near = _sq_dists(xb[lost], self.cloud.data)
                 near -= near.min(axis=1, keepdims=True)
                 logits[lost] = near / -(2.0 * sigma**2)
         return logits
@@ -565,9 +544,7 @@ def model_from_json(obj: dict, base_dir: str | None = None) -> ScoreModel:
 def model_fingerprint(model: ScoreModel) -> str:
     """Stable sha256 over the model's defining arrays, for output sidecars."""
     h = hashlib.sha256(model.variant.encode())
-    if isinstance(model, IsotropicModel):
-        h.update(model.mean.tobytes())
-    elif isinstance(model, GaussianModel):
+    if isinstance(model, GaussianModel):
         for arr in (model.spectrum.mean, model.spectrum.eigenvalues, model.spectrum.basis):
             h.update(np.ascontiguousarray(arr).tobytes())
     elif isinstance(model, MixtureModel):

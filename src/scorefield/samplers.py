@@ -234,7 +234,7 @@ def teleport_sample(
         sub = grid.truncate_from(idx)
         skipped = idx
     elif skip_mode == "regrid":
-        sub = karras_grid(float(sigma_min), float(sigma_skip), grid.rho, grid.n_step)
+        sub = karras_grid(float(sigma_min), float(sigma_skip), grid.rho, len(grid))
         skipped = None
     else:
         raise InvalidInput(f"skip_mode must be 'grid-aligned' or 'regrid', got {skip_mode!r}")

@@ -36,13 +36,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseGrid:
-    """Strictly descending noise levels sigma_0 > ... > sigma_{n-1}."""
+    """Strictly descending noise levels sigma_0 > ... > sigma_{n-1}, and the
+    power-law exponent ``rho`` that a regrid of its range reuses."""
 
     levels: np.ndarray
-    sigma_min: float
-    sigma_max: float
     rho: float
-    n_step: int
 
     def __post_init__(self):
         levels = np.asarray(self.levels, dtype=np.float64)
@@ -63,8 +61,7 @@ class NoiseGrid:
 
     def truncate_from(self, index: int) -> "NoiseGrid":
         """Tail of the grid starting at the given level index."""
-        tail = self.levels[index:]
-        return NoiseGrid(tail, float(tail[-1]), float(tail[0]), self.rho, tail.size)
+        return NoiseGrid(self.levels[index:], self.rho)
 
 
 def karras_grid(sigma_min: float, sigma_max: float, rho: float = 7.0, n_step: int = 18) -> NoiseGrid:
@@ -86,7 +83,7 @@ def karras_grid(sigma_min: float, sigma_max: float, rho: float = 7.0, n_step: in
     # Pin endpoints; the power round trip can miss by an ulp.
     levels[0] = sigma_max
     levels[-1] = sigma_min
-    return NoiseGrid(levels, float(sigma_min), float(sigma_max), float(rho), int(n_step))
+    return NoiseGrid(levels, float(rho))
 
 
 class NoiseSchedule:

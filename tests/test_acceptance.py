@@ -26,7 +26,7 @@ from scorefield.solution import (
     solve_state,
     solve_state_vp,
 )
-from scorefield.spectrum import CompactSpectrum, PointCloud, compact_spectrum, spectrum_from_cloud
+from scorefield.spectrum import CompactSpectrum, PointCloud, compact_spectrum
 from scorefield.synthetic import anchored_five_cluster_cloud
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -10,6 +11,7 @@ import pytest
 import scorefield
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(scorefield.__path__))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_modules_declare_their_names():
@@ -37,3 +39,35 @@ def test_package_imports_in_a_fresh_process():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == scorefield.__version__
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a file imports and never references, as "file:line name".
+
+    ``__future__`` imports, names listed in the file's ``__all__`` and the
+    package ``__init__``'s re-exports count as used.
+    """
+    if path == ROOT / "src" / "scorefield" / "__init__.py":
+        return []
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    files = [f for d in ("src/scorefield", "tests", "demos") for f in sorted((ROOT / d).glob("*.py"))]
+    assert len(files) >= 30
+    assert [u for f in files for u in unused_imports(f)] == []

@@ -13,14 +13,13 @@ from scorefield.analysis import unexplained_variance
 from scorefield.errors import InvalidData, InvalidInput, InvalidK, InvalidNoise
 from scorefield.gmmfit import (
     _kmeans_pp_init,
-    _sq_dists,
     fit_gmm,
     gmm_from_assignments,
     minibatch_kmeans_full,
     minimal_sufficient_rank,
     rank_mode_sweep,
 )
-from scorefield.models import DeltaMixtureModel, GaussianModel
+from scorefield.models import DeltaMixtureModel, GaussianModel, _sq_dists
 from scorefield.spectrum import PointCloud, estimate_moments, spectrum_from_cloud
 from scorefield.synthetic import (
     anchored_five_cluster_cloud,
@@ -94,7 +93,7 @@ class CountingPool(ThreadPoolExecutor):
 
 
 class TestKmeansShares:
-    """k-means distance passes split their rows like posterior-mixture calls."""
+    """k-means distance passes split their centers across the models' pool."""
 
     def split(self, monkeypatch, workers):
         pool = CountingPool(max(1, workers - 1))
@@ -226,8 +225,9 @@ class TestBatchedKmeansStep:
         points = rng.standard_normal((n, d))
         centers = rng.standard_normal((k, d))
         diff = points[:, None, :] - centers[None, :, :]
+        # k-means passes the centers as the kernel's rows.
         np.testing.assert_array_equal(
-            _sq_dists(points, centers), np.einsum("nkd,nkd->nk", diff, diff)
+            _sq_dists(centers, points), np.einsum("nkd,nkd->nk", diff, diff).T
         )
 
 

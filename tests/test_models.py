@@ -20,6 +20,9 @@ from scorefield.models import (
     GaussianModel,
     IsotropicModel,
     MixtureModel,
+    model_fingerprint,
+    model_from_json,
+    model_to_json,
 )
 from scorefield.spectrum import CompactSpectrum, PointCloud, spectrum_from_cloud
 
@@ -50,6 +53,26 @@ class TestIsoScore:
             IsotropicModel(np.zeros(2)).score(np.zeros(2), 0.0)
         with pytest.raises(InvalidNoise):
             IsotropicModel(np.zeros(2)).score(np.zeros(2), -1.0)
+
+    def test_external_forms_are_the_rank0_gaussians(self):
+        # The isotropic model is the rank-0 Gaussian; its fingerprint and
+        # JSON form stay those of the standalone isotropic model.
+        mu = np.arange(4.0)
+        iso = IsotropicModel(mu)
+        assert model_fingerprint(iso) == (
+            "cc08f4aec76333879fd56effefdc6406e4a961565de8c23b34eaa660b536855a")
+        obj = model_to_json(iso)
+        assert obj == {"kind": "isotropic", "mean": [0.0, 1.0, 2.0, 3.0]}
+        back = model_from_json(obj)
+        assert type(back) is IsotropicModel
+        np.testing.assert_array_equal(back.mean, mu)
+        gauss = GaussianModel(zero_cov_spectrum(mu))
+        x = np.random.default_rng(41).standard_normal((5, 4))
+        for sigma in (1e-3, 0.7, 40.0):
+            for call in ("score", "denoise"):
+                for q in (x, x[2]):
+                    np.testing.assert_array_equal(getattr(iso, call)(q, sigma),
+                                                  getattr(gauss, call)(q, sigma))
 
 
 class TestGaussianScore:

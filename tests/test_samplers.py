@@ -3,7 +3,6 @@ import pytest
 
 from scorefield.errors import InvalidInput, InvalidSkip, NumericalBlowup
 from scorefield.models import (
-    DeltaMixtureModel,
     GaussianComponent,
     GaussianModel,
     MixtureModel,
@@ -18,7 +17,7 @@ from scorefield.samplers import (
 )
 from scorefield.schedules import VpSchedule, karras_grid
 from scorefield.solution import SolutionContext, endpoint, solve_state, solve_state_vp
-from scorefield.spectrum import CompactSpectrum, PointCloud
+from scorefield.spectrum import CompactSpectrum
 
 
 def random_spectrum(seed, d, r, lam_range=(0.1, 4.0)):
