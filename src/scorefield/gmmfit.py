@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidK
 from .models import GaussianComponent, MixtureModel, ScoreModel, _in_shares, _sq_dists
-from .spectrum import CompactSpectrum, PointCloud, _kept, spectrum_from_cloud
+from .spectrum import CompactSpectrum, PointCloud, _kept, _replacing, spectrum_from_cloud
 
 __all__ = [
     "KMeansResult",
@@ -230,7 +230,7 @@ class SweepTable:
         return SweepTable(rows)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
+        with _replacing(path) as f:
             f.write(",".join(self.COLUMNS) + "\n")
             for r in self.rows:
                 f.write(

@@ -67,6 +67,7 @@ from .errors import EmptyInput, InvalidData, InvalidInput, InvalidNoise, ShapeEr
 from .spectrum import (
     CompactSpectrum,
     PointCloud,
+    _replacing,
     load_cloud,
     spectrum_from_cloud,
     spectrum_from_json,
@@ -558,7 +559,7 @@ def model_fingerprint(model: ScoreModel) -> str:
 
 
 def save_model(model: ScoreModel, path, cloud_path: str | None = None) -> None:
-    with open(path, "w") as f:
+    with _replacing(path) as f:
         json.dump(model_to_json(model, cloud_path), f)
 
 

@@ -9,6 +9,7 @@ zero covariance) yields an r = 0 spectrum, which stays valid downstream.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import stat
 import struct
@@ -301,11 +302,51 @@ def spectrum_from_cloud(
 # Point-cloud file formats
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _replacing(path, mode: str = "w"):
+    """Open a file that takes the place of ``path`` only once the block
+    succeeds: the block writes a dot-prefixed temporary file in the same
+    directory, which ``os.replace`` then moves onto ``path`` in one step. If
+    the block raises, the temporary file is removed and ``path`` keeps what
+    it held. A symlinked ``path`` is resolved first, so its target is the
+    file replaced. Every output file of the library goes through here."""
+    head, tail = os.path.split(os.path.realpath(path))
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        # Mode 0o666 leaves the permissions to the umask, as open() does.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # the caller's path, not the temporary one
+        raise
+    try:
+        with open(fd, mode) as f:
+            yield f
+        os.replace(tmp, os.path.join(head, tail))
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _save_table(path, table, header: str = "") -> None:
     """The one numeric-CSV writer: comma-separated ``%.17g`` values, which
     read back as the same float64 bits, after an optional header line that
-    has no comment prefix."""
-    np.savetxt(path, table, delimiter=",", fmt="%.17g", header=header, comments="")
+    has no comment prefix. A 1-D table is one column. The bytes are those of
+    ``np.savetxt(path, table, delimiter=",", fmt="%.17g", comments="",
+    header=header)``; each block of at most 2^16 values is formatted by one
+    ``%`` operation instead of one per row."""
+    table = np.asarray(table)
+    if table.ndim == 1:
+        table = table[:, None]
+    if table.ndim != 2:
+        raise ValueError(f"expected a 1-D or 2-D table, got {table.ndim}-D")
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    step = max(1, (1 << 16) // max(1, table.shape[1]))
+    with _replacing(path) as f:
+        if header:
+            f.write(header + "\n")
+        for lo in range(0, table.shape[0], step):
+            block = table[lo : lo + step]
+            f.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def save_cloud_csv(cloud: PointCloud, path, with_labels: bool = False) -> None:
@@ -333,7 +374,7 @@ def save_cloud_binary(cloud: PointCloud, path) -> None:
     """Binary format: magic 'PCLD1', little-endian u32 N, u32 D, u8 has_labels,
     N*D float64 row-major, then (if present) N int32 labels."""
     has_labels = cloud.labels is not None
-    with open(path, "wb") as f:
+    with _replacing(path, "wb") as f:
         f.write(_BINARY_MAGIC)
         f.write(struct.pack("<IIB", cloud.n_samples, cloud.dim, int(has_labels)))
         # Each array's own buffer goes out; no bytes copy of the cloud.

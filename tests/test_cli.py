@@ -34,6 +34,31 @@ def cloud_file(tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def heavy_cloud_file(tmp_path_factory):
+    """A delta cloud whose one-row call carries N x D = 4096 x 32 = 2^17
+    elements, exactly the size at which the ensemble pool takes workers."""
+    path = tmp_path_factory.mktemp("heavy") / "cloud.bin"
+    assert run(["gen-synthetic", "--kind", "gaussian", "--d", "32", "--n", "4096",
+                "--seed", "5", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """``max_workers`` of every ensemble pool, on a CLI that sees 2 CPUs."""
+    sizes = []
+
+    class RecordingPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_CPUS", 2)
+    return sizes
+
+
 class TestGenSynthetic:
     def test_writes_cloud_and_sidecar(self, tmp_path):
         out = tmp_path / "c.bin"
@@ -94,12 +119,17 @@ class TestSample:
 
     @pytest.mark.parametrize("sampler, kind", [
         ("heun", "delta"), ("rk4", "gaussian"), ("ddim", "iso"), ("teleport", "delta"),
+        ("heun", "heavy-delta"), ("teleport", "heavy-delta"),
     ])
-    def test_seed_contract(self, tmp_path, cloud_file, sampler, kind):
+    def test_seed_contract(self, tmp_path, cloud_file, heavy_cloud_file, pool_sizes,
+                           sampler, kind):
         """``traj_<i>.csv`` holds the library sampler run from sigma_T times
         the standard normal draw of child i of ``SeedSequence(--seed)``,
-        however the ensemble is scheduled."""
+        however the ensemble is scheduled. The heavy delta cloud runs its
+        ensemble on 2 workers, every other model on one."""
         n, seed, grid_spec, schedule_spec = 3, 11, "0.01:10:7:8", "vp:0.1:20:1"
+        if kind == "heavy-delta":
+            kind, cloud_file = "delta", heavy_cloud_file
         cloud = load_cloud(cloud_file)
         model = {"delta": DeltaMixtureModel(cloud),
                  "gaussian": GaussianModel(spectrum_from_cloud(cloud)),
@@ -128,6 +158,27 @@ class TestSample:
             expected = tmp_path / f"expected_{i}.csv"
             save_trajectory_csv(sample(x_T), expected)
             assert (out / f"traj_{i:04d}.csv").read_bytes() == expected.read_bytes()
+        assert pool_sizes == [2 if cloud_file == heavy_cloud_file else 1]
+
+    @pytest.mark.parametrize("model, n, workers", [
+        ("gaussian", 3, 1), ("iso", 3, 1), ("mixture", 3, 1), ("delta", 3, 1),
+        ("heavy-delta", 3, 2), ("heavy-delta", 1, 1),
+    ])
+    def test_pool_gate(self, tmp_path, cloud_file, heavy_cloud_file, pool_sizes,
+                       model, n, workers):
+        """The ensemble pool takes ``min(--n, CPUs)`` workers only when one
+        one-row model call carries ``models._SHARE`` elements or more."""
+        if model == "mixture":
+            spec = str(tmp_path / "gmm.json")
+            assert run(["fit-gmm", "--input", str(cloud_file), "--k", "3", "--rank", "2",
+                        "--seed", "0", "--out", spec]) == 0
+        elif model == "heavy-delta":
+            spec = f"delta:{heavy_cloud_file}"
+        else:
+            spec = f"{model}:{cloud_file}"
+        assert run(["sample", "--model", spec, "--grid", "0.01:10:7:4", "--n", str(n),
+                    "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+        assert pool_sizes == [workers]
 
     def test_rk4_and_ddim(self, tmp_path, cloud_file):
         assert run(["sample", "--model", f"gaussian:{cloud_file}", "--sampler", "rk4",
@@ -395,6 +446,12 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "absent.bin" in err
+
+    def test_unwritable_output_names_its_path(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "curves.csv"
+        assert run(["curves", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err
 
     @pytest.mark.parametrize("sigma", ["1e155", "1e-160", "1e-200"])
     def test_sigma_outside_domain_exit_1(self, tmp_path, cloud_file, capsys, sigma):

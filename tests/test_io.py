@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,88 @@ class TestTableWriter:
         calls = {p.name: p.read_text().count("savetxt(") for p in src.glob("*.py")}
         assert sum(calls.values()) == 1, calls
         assert "savetxt(" in inspect.getsource(_save_table)
+
+
+class TestTableBytes:
+    """``_save_table`` writes the bytes of ``np.savetxt(fmt="%.17g")``."""
+
+    TABLES = {
+        # 1.8e308 parses as inf; the largest finite double is the next pair.
+        "extremes": np.array([[-0.0, 5e-324, 1.8e308, -1.8e308],
+                              [0.0, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]]),
+        "one-by-one": np.array([[1.0 / 3.0]]),
+        "one-d": np.array([2.5, -0.0, 1e-300, 7.0]),
+        "no-rows": np.empty((0, 3)),
+        "over-2^16-values": (np.random.default_rng(9).standard_normal(70001)
+                             * 10.0 ** np.random.default_rng(10).integers(-300, 301, 70001))[:, None],
+        "wide-blocks": np.random.default_rng(11).standard_normal((9000, 19)),
+    }
+
+    @pytest.mark.parametrize("header", ["", "t,sigma\n# second line"], ids=["no-header", "two-lines"])
+    @pytest.mark.parametrize("name", TABLES)
+    def test_matches_savetxt(self, tmp_path, name, header):
+        table = self.TABLES[name]
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        _save_table(ours, table, header)
+        np.savetxt(ref, table, delimiter=",", fmt="%.17g", header=header, comments="")
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+class TestAtomicWrites:
+    """Every writer replaces its file in one step: a write that raises
+    midway leaves the old file as it was and no temporary file behind."""
+
+    @staticmethod
+    def _sweep(rows):
+        from scorefield.gmmfit import SweepTable
+
+        row = dict(k=1, rank=None, sigma=1.0, mean_uv=0.5, q25=0.25, q75=0.75,
+                   ratio_of_sums=0.5, n_excluded=0)
+        return SweepTable((row,) * rows + ({"k": 2},))
+
+    @staticmethod
+    def _sidecar(path, value):
+        from argparse import Namespace
+
+        from scorefield.cli import _write_sidecar
+
+        _write_sidecar(Namespace(command="curves", out=str(path)[: -len(".meta.json")],
+                                 value=value))
+
+    WRITERS = {
+        "table": (lambda p: _save_table(p, np.ones((70000, 1))),
+                  lambda p: _save_table(p, np.array([1.0] * 70000 + ["x"], dtype=object))),
+        "sidecar": (lambda p: TestAtomicWrites._sidecar(p, 1),
+                    lambda p: TestAtomicWrites._sidecar(p, object())),
+        "model": (lambda p: save_model(IsotropicModel(np.zeros(3)), p),
+                  lambda p: save_model(DeltaMixtureModel(PointCloud(np.zeros((2, 3)))), p)),
+        "cloud": (lambda p: save_cloud_binary(PointCloud(np.ones((4, 3))), p),
+                  lambda p: save_cloud_binary(types.SimpleNamespace(
+                      n_samples=1, dim=2, labels=None, data=np.array([["a", "b"]], dtype=object)), p)),
+        "sweep": (lambda p: TestAtomicWrites._sweep(1).filter(k=1).to_csv(p),
+                  lambda p: TestAtomicWrites._sweep(3).to_csv(p)),
+    }
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_write_keeps_old_file(self, tmp_path, writer):
+        good, bad = self.WRITERS[writer]
+        path = tmp_path / "out.meta.json"
+        good(path)
+        before = path.read_bytes()
+        with pytest.raises(Exception):
+            bad(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_mode_and_symlink_follow_plain_open(self, tmp_path):
+        plain, target, link = tmp_path / "plain", tmp_path / "target.csv", tmp_path / "link.csv"
+        plain.write_text("")
+        target.write_text("old")
+        link.symlink_to(target)
+        _save_table(link, np.ones((2, 2)))
+        assert link.is_symlink() and target.read_text() == "1,1\n1,1\n"
+        assert target.stat().st_mode == plain.stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "plain", "target.csv"]
 
 
 class TestTrajectoryCsv:

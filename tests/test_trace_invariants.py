@@ -77,3 +77,38 @@ def test_ddim_and_rk4_model_calls_equal_trajectory_nfe(tmp_path):
     assert ddim["samplers.model_calls"] == ddim["samplers.nfe"] == 8
     assert rk4["samplers.trajectories"] == 3
     assert rk4["samplers.model_calls"] == rk4["samplers.nfe"] == 60
+
+
+def test_two_worker_teleport_model_calls_equal_trajectory_nfe(tmp_path, monkeypatch):
+    """A delta cloud of N x D = 2^17 elements runs its ensemble on 2 workers
+    through the tracer's pool, which still books every model call to its
+    trajectory."""
+    trace = load_tracer()
+    cloud = tmp_path / "cloud.bin"
+    assert run(["gen-synthetic", "--kind", "gaussian", "--d", "32", "--n", "4096",
+                "--seed", "1", "--out", str(cloud)]) == 0
+    monkeypatch.setattr(cli, "_CPUS", 2)
+    pool = cli.ThreadPoolExecutor
+    tracer = trace.Tracer()
+    tracer.install()
+    propagating, sizes = cli.ThreadPoolExecutor, []
+
+    class Recording(propagating):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    try:
+        cli.ThreadPoolExecutor = Recording
+        assert run(["teleport", "--model", f"delta:{cloud}", "--cloud", str(cloud),
+                    "--skip", "2.0", "--skip-mode", "regrid", "--grid", "0.01:10:7:6",
+                    "--n", "4", "--seed", "3", "--out", str(tmp_path / "teleport")]) == 0
+        metrics = trace.summarize(tracer.take(), tracer.fingerprint)
+    finally:
+        cli.ThreadPoolExecutor = propagating
+        tracer.uninstall()
+    assert cli.ThreadPoolExecutor is pool
+    assert sizes == [2]
+    assert metrics["samplers.trajectories"] == 4
+    # Nine model calls per trajectory, as for the teleport run above.
+    assert metrics["samplers.model_calls"] == metrics["samplers.nfe"] == 36
