@@ -22,12 +22,12 @@ that (N, rows) order, so one pass over the cloud serves a whole chunk of
 rows, each output element still summed over the training points in order.
 The Gaussian mixture keeps its components stacked (means, and bases and
 eigenvalues per group of equal rank) and evaluates all K of them at once on
-chunks of ``max(1, _BLOCK // (K D))`` rows, the same element budget. A row
-whose every logit underflows to -inf keeps its limit: delta weights go
-one-hot on the nearest training point, split evenly on exact ties, and
-mixture logits are retaken relative to the row's smallest quadratic form.
-A mixture row whose quadratic form overflows near the top of the sigma
-domain retakes it on ``x/sigma`` and ``mu/sigma``.
+chunks of ``max(1, _BLOCK // (K D))`` rows, the same element budget. Both
+mixtures share two limits, kept in one place: a row whose every logit
+underflows to -inf is retaken relative to its smallest squared form
+(one-hot on the nearest center, split evenly on exact ties), and a row
+whose forms overflow near the top of the sigma domain retakes them on
+``x/sigma`` against ``centers/sigma``.
 
 Threads live in one place: a module-level pool of ``W - 1`` workers, W being
 the usable CPU count, which ``_in_shares`` feeds. A mixture call splits its
@@ -279,31 +279,61 @@ class GaussianComponent:
 class _PosteriorMixture(ScoreModel):
     """A mixture whose denoiser is ``sum_i w_i(x, sigma) D_i(x, sigma)``.
 
-    A variant supplies ``_evaluate`` (unnormalised log posteriors, one column
-    per component, and whatever of their work ``_combine`` can reuse),
-    ``_combine`` (the weighted sum of component denoisers, written into the
-    chunk's rows of the call's output) and ``_chunk_rows`` (how many rows
-    one chunk evaluates at once). The softmax is taken in log space with max
-    subtraction, over the chunk's logits in place.
+    A variant supplies ``_centers`` (K, D), ``_forms`` (the squared forms of
+    rows against centers as a C-contiguous (rows, K) array, and whatever of
+    their work ``_combine`` can reuse), ``_logits`` (log posteriors from the
+    forms divided by a scale, possibly written over them), ``_combine`` (the
+    weighted sum of component denoisers, written into the chunk's rows of
+    the call's output) and ``_chunk_rows`` (rows per chunk).
+
+    Both limits live here. A row with a form that is not finite (near the
+    top of the sigma domain, for ``x ~ sigma z``) retakes its forms on
+    ``x/sigma`` against ``centers/sigma``, at scale 1 instead of sigma^2. A
+    row whose logits are all -inf (far from every center at tiny sigma)
+    retakes them relative to its smallest form, which keeps the limit:
+    one-hot on the nearest center, split evenly on exact ties. Forms are
+    row-local, so the other rows keep their bits. A row that overflows on
+    ``x/sigma`` too gets NaN, without a warning, for the caller's finite
+    check. The softmax is taken in log space with max subtraction, over the
+    chunk's logits in place.
     """
 
     n_components: int
     _chunk_rows: int
 
-    def _chunks(self, out, xb, sigma, step, lo: int, hi: int) -> None:
-        """Fill rows lo:hi of ``out``, ``_chunk_rows`` rows at a time."""
-        rows = self._chunk_rows
-        for a in range(lo, hi, rows):
-            b = min(a + rows, hi)
-            logits, work = self._evaluate(xb[a:b], sigma)
-            step(_softmax_rows(logits), work, out[a:b])
+    def _evaluate(self, xb, sigma):
+        """Log posteriors (rows, K) of rows ``xb`` and the work of their forms."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            forms, work = self._forms(xb, self._centers, sigma)
+            big = ~np.isfinite(forms).all(axis=1)  # before _logits overwrites them
+            logits = self._kept_logits(forms, xb, self._centers, sigma, sigma**2)
+            if big.any():
+                xs, cs = xb[big] / sigma, self._centers / sigma
+                logits[big] = self._kept_logits(self._forms(xs, cs, sigma)[0], xs, cs, sigma, 1.0)
+        return logits, work
+
+    def _kept_logits(self, forms, xb, centers, sigma, scale):
+        # The logits of forms at one scale, lost rows retaken.
+        logits = self._logits(forms, sigma, scale)
+        lost = logits.max(axis=1) == -np.inf
+        if lost.any():
+            near = self._forms(xb[lost], centers, sigma)[0]
+            near -= near.min(axis=1, keepdims=True)
+            logits[lost] = self._logits(near, sigma, scale)
+        return logits
 
     def _per_chunk(self, x, sigma, width: int, step):
         sigma = _check_sigma(sigma)
         xb, single = _as_batch(x, self.dim)
         out = np.empty((xb.shape[0], width))
-        _in_shares(xb.shape[0], self.n_components * xb.shape[1],
-                   lambda lo, hi: self._chunks(out, xb, sigma, step, lo, hi))
+
+        def fill(lo: int, hi: int) -> None:  # rows lo:hi, a chunk at a time
+            for a in range(lo, hi, self._chunk_rows):
+                b = min(a + self._chunk_rows, hi)
+                logits, work = self._evaluate(xb[a:b], sigma)
+                step(_softmax_rows(logits), work, out[a:b])
+
+        _in_shares(xb.shape[0], self.n_components * xb.shape[1], fill)
         return out[0] if single else out
 
     def denoise(self, x, sigma):
@@ -320,16 +350,12 @@ class MixtureModel(_PosteriorMixture):
 
     ``components`` is the public form. Construction also stacks it into
     read-only arrays that every evaluation shares: log-weights (K,), means
-    (K, D) and, for each group of components of equal rank r, bases
-    (k, D, r) and eigenvalues (k, r). A chunk of rows evaluates all K
-    components at once on a (K, rows, D) difference array, with each output
-    element the same reduction as a per-component evaluation, bit for bit.
-    A chunk holds ``max(1, _BLOCK // (K D))`` rows, so those temporaries
-    keep the delta kernel's element budget.
-
-    Near the top of the sigma domain, ``|x - mu|^2`` overflows for
-    ``x ~ sigma z``; such rows retake their quadratic forms on ``x/sigma``
-    and ``mu/sigma``, which gives ``quad/sigma^2`` without overflow.
+    (K, D), the centers of its forms, and, for each group of components of
+    equal rank r, bases (k, D, r) and eigenvalues (k, r). A chunk of rows
+    evaluates all K components at once on a (K, rows, D) difference array,
+    with each output element the same reduction as a per-component
+    evaluation, bit for bit. A chunk holds ``max(1, _BLOCK // (K D))``
+    rows, so those temporaries keep the delta kernel's element budget.
     """
 
     components: tuple[GaussianComponent, ...]
@@ -358,7 +384,7 @@ class MixtureModel(_PosteriorMixture):
                 _stacked([comps[i].spectrum.eigenvalues for i in idx]),
             ))
         object.__setattr__(self, "_log_pi", _stacked([np.log(c.weight) for c in comps]))
-        object.__setattr__(self, "_means", _stacked([c.spectrum.mean for c in comps]))
+        object.__setattr__(self, "_centers", _stacked([c.spectrum.mean for c in comps]))
         object.__setattr__(self, "_groups", tuple(groups))
         object.__setattr__(self, "_chunk_rows", max(1, _BLOCK // (len(comps) * self.dim)))
 
@@ -372,7 +398,7 @@ class MixtureModel(_PosteriorMixture):
 
     def _forms(self, xb, means, sigma):
         """Quadratic forms ``|x - mu_i|^2 - sum_k lam_k/(lam_k + sigma^2) c_k^2``
-        (K, rows), the (K, rows, D) differences, and each rank group's
+        (rows, K), the (K, rows, D) differences, and each rank group's
         projections ``c = U_i^T (x - mu_i)`` with their shrink factors."""
         diff = xb[None, :, :] - means[:, None, :]
         quad = np.einsum("kmd,kmd->km", diff, diff)
@@ -384,43 +410,18 @@ class MixtureModel(_PosteriorMixture):
                 shrink = eigs / (eigs + sigma**2)
                 quad[sel] = quad[sel] - np.einsum("kmr,kr->km", c**2, shrink)
             coords.append((c, shrink))
-        return quad, diff, coords
+        # C-contiguous, as a column stack gives: on a transposed view the
+        # logits, and so the softmax's row sums, would take another order.
+        return np.ascontiguousarray(quad.T), (diff, coords)
 
-    def _evaluate(self, xb, sigma):
+    def _logits(self, forms, sigma, scale):
         # log pi_i + log N(x; mu_i, sigma^2 I + Sigma_i)
-        with np.errstate(over="ignore", invalid="ignore"):
-            quad, diff, coords = self._forms(xb, self._means, sigma)
-            scaled = quad / sigma**2
-        if not np.isfinite(quad).all():
-            # Near the top of the sigma domain |x - mu|^2 overflows for
-            # x ~ sigma z. Such rows retake their forms on x/sigma and
-            # mu/sigma, which is quad/sigma^2 without the overflow.
-            big = ~np.isfinite(quad).all(axis=0)
-            scaled[:, big] = self._forms(xb[big] / sigma, self._means / sigma, sigma)[0]
         d = self.dim
         logdet = np.empty(self.n_components)
         for sel, _, eigs in self._groups:
             logdet[sel] = (d - eigs.shape[1]) * 2.0 * np.log(sigma) + np.sum(
                 np.log(eigs + sigma**2), axis=1)
-        const = d * np.log(2.0 * np.pi)
-        with np.errstate(over="ignore"):
-            # C-contiguous (rows, K), as a column stack gives: on a transposed
-            # view the softmax's row sums would add in another order.
-            logits = np.ascontiguousarray(
-                (self._log_pi[:, None] - 0.5 * (const + logdet[:, None] + scaled)).T)
-            # Far from every mean at tiny sigma all logits of a row can
-            # overflow to -inf, and the softmax would give 0/0. Dropping the
-            # terms shared by every component of the row (the constant and
-            # the row's smallest quadratic form) keeps its limit.
-            lost = logits.max(axis=1) == -np.inf
-            if lost.any():
-                q = quad[:, lost].T
-                near = q - q.min(axis=1, keepdims=True)
-                logits[lost] = self._log_pi - 0.5 * (logdet + near / sigma**2)
-        return logits, (diff, coords)
-
-    def _log_weights(self, xb, sigma):
-        return self._evaluate(xb, sigma)[0]
+        return self._log_pi - 0.5 * (d * np.log(2.0 * np.pi) + logdet + forms / scale)
 
     def _combine(self, w, work, out=None):
         # Component denoisers mu_i + U_i diag(shrink) c, written over the
@@ -428,10 +429,10 @@ class MixtureModel(_PosteriorMixture):
         den, coords = work
         for (sel, bases, _), (c, shrink) in zip(self._groups, coords):
             if c is None:
-                den[sel] = self._means[sel, None, :]
+                den[sel] = self._centers[sel, None, :]
             else:
                 lift = np.einsum("kmr,kdr->kmd", c * shrink[:, None, :], bases)
-                den[sel] = self._means[sel, None, :] + lift
+                den[sel] = self._centers[sel, None, :] + lift
         return np.einsum("mk,kmd->md", w, den, out=out)
 
 
@@ -452,6 +453,7 @@ class DeltaMixtureModel(_PosteriorMixture):
         if not isinstance(cloud, PointCloud):
             cloud = PointCloud(np.asarray(cloud))
             object.__setattr__(self, "cloud", cloud)
+        object.__setattr__(self, "_centers", cloud.data)
 
     @property
     def dim(self) -> int:
@@ -461,27 +463,14 @@ class DeltaMixtureModel(_PosteriorMixture):
     def n_components(self) -> int:
         return self.cloud.n_samples
 
-    def _evaluate(self, xb, sigma):
-        return self._log_weights(xb, sigma), None
+    def _forms(self, xb, points, sigma):
+        return _sq_dists(xb, points), None
 
-    def _log_weights(self, xb, sigma):
-        # -|x - y_i|^2 / (2 sigma^2), written over the distances: IEEE
-        # division is sign-symmetric, so d2 / -(2 sigma^2) has the bits of
-        # -d2 / (2 sigma^2).
-        logits = _sq_dists(xb, self.cloud.data)
-        with np.errstate(over="ignore"):
-            np.divide(logits, -(2.0 * sigma**2), out=logits)
-            # Far from the cloud at tiny sigma every logit of a row can
-            # overflow to -inf, and the softmax would give 0/0. Measured from
-            # the nearest point, the row keeps its limit: one-hot weights,
-            # split evenly on exact ties. Only such rows take their
-            # distances again, which are row-local and so the same bits.
-            lost = logits.max(axis=1) == -np.inf
-            if lost.any():
-                near = _sq_dists(xb[lost], self.cloud.data)
-                near -= near.min(axis=1, keepdims=True)
-                logits[lost] = near / -(2.0 * sigma**2)
-        return logits
+    def _logits(self, forms, sigma, scale):
+        # -|x - y_i|^2 / (2 scale), written over the distances: IEEE
+        # division is sign-symmetric, so d2 / -(2 scale) has the bits of
+        # -d2 / (2 scale).
+        return np.divide(forms, -(2.0 * scale), out=forms)
 
     def _combine(self, w, work, out=None):
         # With the weights in C-contiguous (N, rows) order, one pass over the

@@ -6,12 +6,13 @@ from scorefield.analysis import (
     bimodal_error_curve,
     bimodal_error_mc,
     critical_times,
+    ratio_stats,
     slice_field,
     trajectory_deviation,
     trajectory_deviation_batch,
     unexplained_variance,
 )
-from scorefield.errors import DegeneratePlane, GridMismatch
+from scorefield.errors import DegeneratePlane, GridMismatch, NumericalBlowup
 from scorefield.models import DeltaMixtureModel, GaussianModel, ScoreModel
 from scorefield.samplers import Trajectory, heun_sample, rk4_sample
 from scorefield.schedules import VpSchedule, karras_grid
@@ -81,6 +82,13 @@ class TestUnexplainedVariance:
             ref, approx, 0.5, 64, seed=3, probe_dist="noised-cloud", cloud=cloud
         )
         assert np.isfinite(stats.mean)
+
+    @pytest.mark.parametrize("bad", ["ref", "app"])
+    def test_non_finite_score_raises_naming_sigma(self, bad):
+        scores = {"ref": np.ones((4, 3)), "app": np.zeros((4, 3))}
+        scores[bad][2, 1] = np.nan
+        with pytest.raises(NumericalBlowup, match=r"non-finite score at sigma=1e\+154"):
+            ratio_stats(scores["ref"], scores["app"], 1e154)
 
     def test_far_field_law(self):
         # mean UV at c sqrt(tr Sigma) drops >= 10x from c=2 to c=20

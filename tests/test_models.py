@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import scorefield.models
 from scorefield.errors import InvalidInput, InvalidNoise
@@ -255,8 +258,8 @@ class TestGmmScore:
         # rows near the means keep finite logits, which must not move.
         x = np.random.default_rng(8).standard_normal((5, 3))
         far = np.full((2, 3), 1e5)
-        alone = model._log_weights(x, 1e-150)
-        mixed = model._log_weights(np.vstack([x, far]), 1e-150)
+        alone = model._evaluate(x, 1e-150)[0]
+        mixed = model._evaluate(np.vstack([x, far]), 1e-150)[0]
         assert np.all(np.isfinite(alone))
         np.testing.assert_array_equal(mixed[:5], alone)
         assert np.all(np.isfinite(mixed[5:].max(axis=1)))
@@ -325,7 +328,7 @@ class TestStackedMixture:
         x = 2.0 * rng.standard_normal((300, dim))
         for sigma in (0.05, 0.5, 2.0, 8.0, 80.0, 1e6):
             w, out = loop_weights_and_denoise(model, x, sigma)
-            np.testing.assert_array_equal(model._log_weights(x, sigma), loop_log_weights(model, x, sigma))
+            np.testing.assert_array_equal(model._evaluate(x, sigma)[0], loop_log_weights(model, x, sigma))
             np.testing.assert_array_equal(model.posterior_weights(x, sigma), w)
             np.testing.assert_array_equal(model.denoise(x, sigma), out)
 
@@ -340,7 +343,7 @@ class TestStackedMixture:
 
     def test_stacked_arrays_are_read_only(self):
         model = ranked_mixture(3, 16, [3, 0, 3])
-        arrays = [model._log_pi, model._means]
+        arrays = [model._log_pi, model._centers]
         for _, bases, eigs in model._groups:
             arrays += [bases, eigs]
         assert not any(a.flags.writeable for a in arrays)
@@ -358,11 +361,17 @@ class TestStackedMixture:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("rank", [0, None])
+    @pytest.mark.parametrize("rank", [0, None, "delta"])
     def test_top_of_sigma_domain_stays_finite(self, rank):
-        # At sigma = 1e154, |x - mu|^2 overflows for probes x ~ sigma z.
+        # At sigma = 1e154, |x - mu|^2 overflows for probes x ~ sigma z. The
+        # "delta" case is the cloud's own delta mixture, with prior 1/N.
         rng = np.random.default_rng(81)
-        model = fit_gmm(PointCloud(rng.standard_normal((50, 4))), 2, rank=rank, seed=0)
+        cloud = PointCloud(rng.standard_normal((50, 4)))
+        if rank == "delta":
+            model, prior = DeltaMixtureModel(cloud), np.full(50, 1 / 50)
+        else:
+            model = fit_gmm(cloud, 2, rank=rank, seed=0)
+            prior = [c.weight for c in model.components]
         x = 1e154 * rng.standard_normal((8, 4))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -371,15 +380,22 @@ class TestStackedMixture:
             w = model.posterior_weights(x, 1e154)
         assert np.all(np.isfinite(out)) and np.all(np.isfinite(score))
         # At sigma far above the cloud the posterior is the prior.
-        np.testing.assert_allclose(w, np.tile([c.weight for c in model.components], (8, 1)))
+        np.testing.assert_allclose(w, np.tile(prior, (8, 1)))
 
     def test_rows_with_finite_forms_unchanged_beside_overflowing_rows(self):
-        model = ranked_mixture(91, 4, [2, 4])
         x = np.random.default_rng(92).standard_normal((5, 4))
         far = 1e154 * np.random.default_rng(93).standard_normal((3, 4))
-        mixed = model._log_weights(np.vstack([x, far]), 1e154)
-        np.testing.assert_array_equal(mixed[:5], model._log_weights(x, 1e154))
-        assert np.all(np.isfinite(mixed))
+        cloud = PointCloud(np.random.default_rng(94).standard_normal((40, 4)))
+        for model in (ranked_mixture(91, 4, [2, 4]), DeltaMixtureModel(cloud)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                mixed = model._evaluate(np.vstack([x, far]), 1e154)[0]
+                alone = model._evaluate(x, 1e154)[0]
+                den = model.denoise(np.vstack([x, far]), 1e154)
+                den_alone = model.denoise(x, 1e154)
+            np.testing.assert_array_equal(bits(mixed[:5]), bits(alone))
+            np.testing.assert_array_equal(bits(den[:5]), bits(den_alone))
+            assert np.all(np.isfinite(mixed)) and np.all(np.isfinite(den))
 
 
 class TestDeltaScore:
@@ -452,7 +468,7 @@ class TestDeltaStreaming:
         sigma = 0.7
         diff = x[:, None, :] - cloud.data[None, :, :]
         full = -np.einsum("mnd,mnd->mn", diff, diff) / (2.0 * sigma**2)
-        np.testing.assert_array_equal(DeltaMixtureModel(cloud)._log_weights(x, sigma), full)
+        np.testing.assert_array_equal(DeltaMixtureModel(cloud)._evaluate(x, sigma)[0], full)
 
     def test_denoise_peak_memory_is_bounded(self):
         # The whole (256, 4000, 64) difference tensor alone would take 500 MiB.
@@ -540,6 +556,25 @@ class TestInvariants:
             sigma = float(rng.uniform(0.1, 10))
             a, b = mix.score(x, sigma), delta.score(x, sigma)
             assert np.linalg.norm(a - b) <= 1e-10 * max(np.linalg.norm(b), 1.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), d=st.integers(1, 4))
+    def test_delta_is_the_equal_weight_rank0_mixture_at_its_points(self, data, n, d):
+        # Far rows at tiny sigma take the lost-row limit, and rows ~ sigma z
+        # at the top of the sigma domain, every one of whose squared forms
+        # overflows, the overflow retake, in both models.
+        unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+        y = data.draw(hnp.arrays(np.float64, (n, d), elements=unit))
+        z = data.draw(hnp.arrays(np.float64, (3, d), elements=unit))
+        delta = DeltaMixtureModel(PointCloud(y))
+        mix = MixtureModel(tuple(GaussianComponent(1.0 / n, zero_cov_spectrum(p)) for p in y))
+        mid = data.draw(st.floats(1.0, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x, sigma in ((1e5 + z, 1e-150), (z, mid), (1e154 * (3.0 + z), 1e154)):
+                for call in ("posterior_weights", "denoise"):
+                    np.testing.assert_allclose(getattr(delta, call)(x, sigma),
+                                               getattr(mix, call)(x, sigma), rtol=0, atol=1e-15)
 
     def test_reduction_rank0_equals_isotropic(self):
         mu = np.array([0.3, -0.6, 1.1])
@@ -756,7 +791,7 @@ class TestDeltaInPlace:
             assert np.all(np.isfinite(logits[1::3]))
             np.testing.assert_array_equal(w[0::3][:, [0, step, n - 1]], 1 / 3)
             assert np.all(np.count_nonzero(w[0::3], axis=1) == 3)
-        np.testing.assert_array_equal(bits(model._log_weights(x, sigma)), bits(logits))
+        np.testing.assert_array_equal(bits(model._evaluate(x, sigma)[0]), bits(logits))
         np.testing.assert_array_equal(bits(model.posterior_weights(x, sigma)), bits(w))
         np.testing.assert_array_equal(bits(model.denoise(x, sigma)), bits(den))
         pool = TestRowShares().split(monkeypatch, 2)  # the same calls in two row shares
