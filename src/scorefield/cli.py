@@ -165,9 +165,9 @@ def _ensemble(args, model, sigma_T, sample) -> None:
     model's own share gate counts them); otherwise it runs one. A smaller
     call holds the GIL for most of its time, so a second thread only trades
     it back and forth. Teleport ensembles on 2 vCPUs, 2 workers against 1,
-    wall / CPU: N x D = 64 000 -14 % / +42 %, 256 000 -30 % / +17 %,
-    3.1 M (4000 x 784) -40 % / +3 %; heun, rk4 and ddim on 16-D models
-    +3 to +12 % / +6 to +13 %.
+    wall / CPU: N x D = 64 000 -29 % / +21 %, 256 000 -29 % / +16 %,
+    3.1 M (4000 x 784) -39 % / +3 %; heun, rk4 and ddim on 16-D models
+    -4 to +31 % / -1 to +33 %.
     """
     os.makedirs(args.out, exist_ok=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.n)
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sigmas = {"type": _comma_list(float), "help": "comma-separated noise levels (required)"}
     probes = {"type": int, "default": 256, "help": "probe points per noise level"}
     batch = {"type": int, "default": 2048, "help": "k-means mini-batch size"}
-    max_iter = {"type": int, "default": 100, "help": "k-means iteration cap"}
+    max_iter = {"type": int, "default": 100, "help": "k-means iteration cap (0: k-means++ seeds only)"}
 
     add("gen-synthetic", cmd_gen_synthetic,
         kind={"default": "gaussian", "choices": ["gaussian", "gmm", "two-cluster"],

@@ -96,7 +96,7 @@ def minibatch_kmeans_full(
     Deterministic given the seed. After the mini-batch passes, every sample
     is assigned to its nearest center (ties to the lowest cluster index) and
     empty clusters are repaired by reseeding each on the farthest member of
-    the currently largest cluster.
+    the currently largest cluster. ``max_iter`` = 0 keeps the k-means++ seeds.
     """
     if not isinstance(cloud, PointCloud):
         cloud = PointCloud(np.asarray(cloud))
@@ -105,6 +105,8 @@ def minibatch_kmeans_full(
         raise InvalidK(f"need 1 <= K <= N={n}, got K={k}")
     if batch < 1:
         raise InvalidInput(f"batch must be >= 1, got {batch}")
+    if max_iter < 0:
+        raise InvalidInput(f"max_iter must be >= 0, got {max_iter}")
     data = cloud.data
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(data, k, rng)

@@ -49,7 +49,8 @@ Gaussian log-densities never touch a D x D matrix: with the compact spectrum
     (x-mu)^T (sigma^2 I + Sigma)^-1 (x-mu)
         = (|x-mu|^2 - sum_k lam_k/(lam_k + sigma^2) c_k^2) / sigma^2
 
-with ``c = U^T (x - mu)``.
+with ``c = U^T (x - mu)``. The terms in sigma alone are memoized per model
+and sigma (``_memoized``): a sampler comes back to the same few noise levels.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,9 +139,9 @@ def _in_shares(m: int, per_row: int, work) -> None:
     pool themselves. A call of fewer than two rows is one share and never
     reads the gate.
     """
-    shares = 1
-    if m > 1:
-        shares = max(1, min(_CPUS, m // -(-_SHARE // per_row)))
+    shares = min(_CPUS, m // -(-_SHARE // per_row)) if m > 1 else 1
+    if shares < 2:
+        return work(0, m)
     tasks = [_POOL.submit(contextvars.copy_context().run, work,
                           m * i // shares, m * (i + 1) // shares) for i in range(1, shares)]
     try:
@@ -168,6 +169,19 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _memoized(memo: dict, sigma: float, build) -> tuple:
+    # ``build(sigma)``'s arrays, read-only, kept in a model's memo per checked
+    # sigma (racing threads store equal values); past _BLOCK elements it empties.
+    if (consts := memo.get(sigma)) is None:
+        consts = build(sigma)
+        for a in consts:
+            a.setflags(write=False)
+        memo[sigma] = consts
+        if len(memo) * sum(a.size for a in consts) > _BLOCK:
+            memo.clear()
+    return consts
+
+
 def _stacked(arrays) -> np.ndarray:
     out = np.ascontiguousarray(np.stack(arrays), dtype=np.float64)
     out.setflags(write=False)
@@ -187,10 +201,10 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    # In place: the max-subtract, exp and divide each overwrite ``logits``,
-    # a fresh C-contiguous (rows, K) array per chunk, which is returned.
-    np.subtract(logits, logits.max(axis=1, keepdims=True), out=logits)
+def _softmax_rows(logits: np.ndarray, top: np.ndarray) -> np.ndarray:
+    # In place: minus the row maxima ``top``, exp and divide each overwrite
+    # ``logits``, a fresh C-contiguous (rows, K) array per chunk, returned.
+    np.subtract(logits, top, out=logits)
     np.exp(logits, out=logits)
     np.divide(logits, logits.sum(axis=1, keepdims=True), out=logits)
     return logits
@@ -204,7 +218,8 @@ class ScoreModel:
     """Evaluable denoiser field and the score it implies. Immutable and shareable.
 
     Subclasses define ``denoise``; ``score`` follows from it here and
-    nowhere else.
+    nowhere else. Arrays are built at construction and read-only; so are the
+    pure sigma-only values in a Gaussian's or mixture's bounded, thread-safe memo.
     """
 
     variant = "base"
@@ -214,10 +229,8 @@ class ScoreModel:
         raise NotImplementedError
 
     def score(self, x, sigma):
-        """s(x, sigma) = (D(x, sigma) - x) / sigma^2."""
-        sigma = _check_sigma(sigma)
-        x = np.asarray(x, dtype=np.float64)
-        return (self.denoise(x, sigma) - x) / sigma**2
+        """s(x, sigma) = (D(x, sigma) - x) / sigma^2; ``denoise`` validates x and sigma."""
+        return (self.denoise(x, sigma) - np.asarray(x, dtype=np.float64)) / float(sigma)**2
 
 
 @dataclass(frozen=True)
@@ -225,6 +238,7 @@ class GaussianModel(ScoreModel):
     """Single Gaussian with a compact (possibly low-rank) spectrum."""
 
     spectrum: CompactSpectrum
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     variant = "gaussian"
 
     @property
@@ -245,9 +259,10 @@ class GaussianModel(ScoreModel):
         else:
             # einsum keeps each output element an independent contiguous
             # reduction, so results do not depend on the batch size.
-            shrink = spec.eigenvalues / (spec.eigenvalues + sigma**2)
+            eigs = spec.eigenvalues
+            (shrink,) = _memoized(self._memo, sigma, lambda s: (eigs / (eigs + s**2),))
             c = np.einsum("md,dr->mr", xb - spec.mean, spec.basis)
-            out = spec.mean + np.einsum("mr,dr->md", c * shrink, spec.basis)
+            out = spec.mean + np.einsum("mr,dr->md", np.multiply(c, shrink, out=c), spec.basis)
         return out[0] if single else out
 
 
@@ -302,25 +317,29 @@ class _PosteriorMixture(ScoreModel):
     _chunk_rows: int
 
     def _evaluate(self, xb, sigma):
-        """Log posteriors (rows, K) of rows ``xb`` and the work of their forms."""
+        """Log posteriors (rows, K) of rows ``xb``, their row maxima and the forms' work."""
         with np.errstate(over="ignore", invalid="ignore"):
             forms, work = self._forms(xb, self._centers, sigma)
-            big = ~np.isfinite(forms).all(axis=1)  # before _logits overwrites them
-            logits = self._kept_logits(forms, xb, self._centers, sigma, sigma**2)
-            if big.any():
+            # Before _logits overwrites them; the row mask only if needed.
+            big = None if np.isfinite(forms).all() else ~np.isfinite(forms).all(axis=1)
+            logits, top = self._kept_logits(forms, xb, self._centers, sigma, sigma**2)
+            if big is not None:
                 xs, cs = xb[big] / sigma, self._centers / sigma
-                logits[big] = self._kept_logits(self._forms(xs, cs, sigma)[0], xs, cs, sigma, 1.0)
-        return logits, work
+                logits[big], top[big] = self._kept_logits(
+                    self._forms(xs, cs, sigma)[0], xs, cs, sigma, 1.0)
+        return logits, top, work
 
     def _kept_logits(self, forms, xb, centers, sigma, scale):
-        # The logits of forms at one scale, lost rows retaken.
+        # The logits of forms at one scale, lost rows retaken, and their row maxima.
         logits = self._logits(forms, sigma, scale)
-        lost = logits.max(axis=1) == -np.inf
-        if lost.any():
+        top = logits.max(axis=1, keepdims=True)
+        lost = top[:, 0] == -np.inf
+        if np.count_nonzero(lost):
             near = self._forms(xb[lost], centers, sigma)[0]
             near -= near.min(axis=1, keepdims=True)
             logits[lost] = self._logits(near, sigma, scale)
-        return logits
+            top[lost] = logits[lost].max(axis=1, keepdims=True)
+        return logits, top
 
     def _per_chunk(self, x, sigma, width: int, step):
         sigma = _check_sigma(sigma)
@@ -330,8 +349,8 @@ class _PosteriorMixture(ScoreModel):
         def fill(lo: int, hi: int) -> None:  # rows lo:hi, a chunk at a time
             for a in range(lo, hi, self._chunk_rows):
                 b = min(a + self._chunk_rows, hi)
-                logits, work = self._evaluate(xb[a:b], sigma)
-                step(_softmax_rows(logits), work, out[a:b])
+                logits, top, work = self._evaluate(xb[a:b], sigma)
+                step(_softmax_rows(logits, top), work, out[a:b])
 
         _in_shares(xb.shape[0], self.n_components * xb.shape[1], fill)
         return out[0] if single else out
@@ -359,6 +378,7 @@ class MixtureModel(_PosteriorMixture):
     """
 
     components: tuple[GaussianComponent, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     variant = "mixture"
 
     def __post_init__(self):
@@ -396,6 +416,17 @@ class MixtureModel(_PosteriorMixture):
     def n_components(self) -> int:
         return len(self.components)
 
+    def _consts(self, sigma):
+        # Memoized: each rank group's lam/(lam + sigma^2), then d log(2 pi) + log det.
+        def build(sigma):
+            d, logdet = self.dim, np.empty(self.n_components)
+            for sel, _, eigs in self._groups:
+                logdet[sel] = (d - eigs.shape[1]) * 2.0 * np.log(sigma) + np.sum(
+                    np.log(eigs + sigma**2), axis=1)
+            return (*(eigs / (eigs + sigma**2) for _, _, eigs in self._groups),
+                    d * np.log(2.0 * np.pi) + logdet)
+        return _memoized(self._memo, sigma, build)
+
     def _forms(self, xb, means, sigma):
         """Quadratic forms ``|x - mu_i|^2 - sum_k lam_k/(lam_k + sigma^2) c_k^2``
         (rows, K), the (K, rows, D) differences, and each rank group's
@@ -403,25 +434,22 @@ class MixtureModel(_PosteriorMixture):
         diff = xb[None, :, :] - means[:, None, :]
         quad = np.einsum("kmd,kmd->km", diff, diff)
         coords = []
-        for sel, bases, eigs in self._groups:
-            c = shrink = None
+        for (sel, bases, eigs), shrink in zip(self._groups, self._consts(sigma)):
+            c = None
             if eigs.shape[1]:
                 c = np.einsum("kmd,kdr->kmr", diff[sel], bases)
-                shrink = eigs / (eigs + sigma**2)
-                quad[sel] = quad[sel] - np.einsum("kmr,kr->km", c**2, shrink)
+                quad[sel] -= np.einsum("kmr,kr->km", c**2, shrink)
             coords.append((c, shrink))
         # C-contiguous, as a column stack gives: on a transposed view the
         # logits, and so the softmax's row sums, would take another order.
         return np.ascontiguousarray(quad.T), (diff, coords)
 
     def _logits(self, forms, sigma, scale):
-        # log pi_i + log N(x; mu_i, sigma^2 I + Sigma_i)
-        d = self.dim
-        logdet = np.empty(self.n_components)
-        for sel, _, eigs in self._groups:
-            logdet[sel] = (d - eigs.shape[1]) * 2.0 * np.log(sigma) + np.sum(
-                np.log(eigs + sigma**2), axis=1)
-        return self._log_pi - 0.5 * (d * np.log(2.0 * np.pi) + logdet + forms / scale)
+        # log pi_i + log N(x; mu_i, sigma^2 I + Sigma_i), written over the forms
+        np.divide(forms, scale, out=forms)
+        np.add(self._consts(sigma)[-1], forms, out=forms)
+        np.multiply(forms, 0.5, out=forms)
+        return np.subtract(self._log_pi, forms, out=forms)
 
     def _combine(self, w, work, out=None):
         # Component denoisers mu_i + U_i diag(shrink) c, written over the
@@ -431,8 +459,8 @@ class MixtureModel(_PosteriorMixture):
             if c is None:
                 den[sel] = self._centers[sel, None, :]
             else:
-                lift = np.einsum("kmr,kdr->kmd", c * shrink[:, None, :], bases)
-                den[sel] = self._centers[sel, None, :] + lift
+                lift = np.einsum("kmr,kdr->kmd", np.multiply(c, shrink[:, None, :], out=c), bases)
+                den[sel] = np.add(self._centers[sel, None, :], lift, out=lift)
         return np.einsum("mk,kmd->md", w, den, out=out)
 
 

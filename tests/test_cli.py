@@ -504,6 +504,18 @@ class TestErrors:
         assert run(argv) == 1
         assert "--n must be >= 1, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, value", [("fit-gmm", "-3"), ("sweep", "-1")])
+    def test_negative_max_iter_exit_1(self, tmp_path, cloud_file, capsys, command, value):
+        argv = {
+            "fit-gmm": ["--input", str(cloud_file), "--k", "2"],
+            "sweep": ["--cloud", str(cloud_file), "--k-list", "1,2", "--rank-list", "0",
+                      "--sigmas", "1", "--probes", "8"],
+        }[command]
+        out = tmp_path / "out"
+        assert run([command, *argv, "--max-iter", value, "--out", str(out)]) == 1
+        assert f"max_iter must be >= 0, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_option_exit_1(self, tmp_path):
         assert run(["fit-gmm", "--k", "1", "--out", str(tmp_path / "m.json")]) == 1
 

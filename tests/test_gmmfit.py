@@ -75,6 +75,15 @@ class TestMinibatchKmeans:
         with pytest.raises(InvalidK):
             minibatch_kmeans_full(cloud, 0).assignments
 
+    def test_max_iter_zero_keeps_the_seeds_and_negative_is_rejected(self):
+        cloud = two_cluster_cloud(40, 2, seed=4, separation=30.0, spread=0.05)
+        res = minibatch_kmeans_full(cloud, 2, seed=6, max_iter=0)
+        seeds = _kmeans_pp_init(cloud.data, 2, np.random.default_rng(6))
+        assert res.iterations == 0
+        np.testing.assert_array_equal(res.centers, seeds)
+        with pytest.raises(InvalidInput, match="max_iter must be >= 0, got -3"):
+            minibatch_kmeans_full(cloud, 2, max_iter=-3)
+
     def test_no_empty_clusters(self):
         cloud = two_cluster_cloud(40, 2, seed=2, separation=30.0, spread=0.05)
         # K=5 on two tight blobs forces empty-cluster repair

@@ -27,6 +27,8 @@ from scorefield.models import (
     model_from_json,
     model_to_json,
 )
+from scorefield.samplers import heun_sample
+from scorefield.schedules import parse_grid_spec
 from scorefield.spectrum import CompactSpectrum, PointCloud, spectrum_from_cloud
 
 
@@ -308,6 +310,16 @@ def ranked_mixture(seed, d, ranks):
     ))
 
 
+def memo_model(case):
+    """A fresh model, with an empty memo, for one of ``MEMO_CASES``."""
+    if case == "gaussian":
+        return GaussianModel(random_spectrum(5, 16, 6))
+    if case == "isotropic":
+        return IsotropicModel(np.random.default_rng(6).standard_normal(16))
+    dim, ranks = case
+    return ranked_mixture(len(ranks) + dim, dim, ranks)
+
+
 class TestStackedMixture:
     # (dim, component ranks): the ensemble's fitted shape, the sweep's K = 8
     # cells (rank 0, 2 and full), one component, and unequal ranks whose
@@ -342,10 +354,16 @@ class TestStackedMixture:
                 np.testing.assert_array_equal(model.denoise(x[i], sigma), batch[i])
 
     def test_stacked_arrays_are_read_only(self):
+        # So are the sigma-only constants that a call memoizes.
         model = ranked_mixture(3, 16, [3, 0, 3])
+        gauss = GaussianModel(random_spectrum(4, 16, 3))
         arrays = [model._log_pi, model._centers]
         for _, bases, eigs in model._groups:
             arrays += [bases, eigs]
+        for m in (model, gauss):
+            m.denoise(np.zeros(16), 0.5)
+            assert len(m._memo) == 1
+            arrays += [a for consts in m._memo.values() for a in consts]
         assert not any(a.flags.writeable for a in arrays)
 
     def test_denoise_peak_memory_follows_chunk_budget(self):
@@ -396,6 +414,9 @@ class TestStackedMixture:
             np.testing.assert_array_equal(bits(mixed[:5]), bits(alone))
             np.testing.assert_array_equal(bits(den[:5]), bits(den_alone))
             assert np.all(np.isfinite(mixed)) and np.all(np.isfinite(den))
+
+
+MEMO_CASES = [*TestStackedMixture.CASES, "gaussian", "isotropic"]
 
 
 class TestDeltaScore:
@@ -620,6 +641,33 @@ class TestBatchEvaluation:
                     np.testing.assert_array_equal(batch_s[i], model.score(x[i], sigma))
                     np.testing.assert_array_equal(batch_d[i], model.denoise(x[i], sigma))
 
+    # Each builds a fresh model, with an empty sigma memo.
+    FRESH = {
+        "isotropic": lambda: IsotropicModel(np.linspace(-1.0, 1.0, 5)),
+        "gaussian": lambda: GaussianModel(random_spectrum(201, 5, 3)),
+        "mixture": lambda: ranked_mixture(202, 5, [2, 0, 5]),  # with a rank-0 group
+        "delta": lambda: DeltaMixtureModel(
+            PointCloud(np.random.default_rng(203).standard_normal((12, 5)))),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(FRESH)),
+           rows=st.integers(1, 20), log_sigma=st.floats(-3.0, 3.0))
+    def test_rows_match_one_row_calls_with_the_memo_cold_and_warm(self, data, kind, rows, log_sigma):
+        fresh = self.FRESH[kind]
+        sigma = 10.0**log_sigma
+        x = data.draw(hnp.arrays(np.float64, (rows, 5),
+                                 elements=st.floats(-10.0, 10.0, allow_subnormal=False)))
+        model = fresh()
+        batch = model.denoise(x, sigma)  # the memo cold
+        np.testing.assert_array_equal(bits(model.denoise(x, sigma)), bits(batch))
+        for i in range(rows):
+            np.testing.assert_array_equal(bits(model.denoise(x[i], sigma)), bits(batch[i]))
+            np.testing.assert_array_equal(bits(fresh().denoise(x[i], sigma)), bits(batch[i]))
+        if kind in ("mixture", "delta"):
+            w = model.posterior_weights(x, sigma)
+            assert np.all(np.abs(w.sum(axis=1) - 1.0) <= w.shape[1] * np.finfo(float).eps)
+
     def test_batch_weights_match_single(self):
         rng = np.random.default_rng(44)
         cloud = PointCloud(rng.standard_normal((10, 4)))
@@ -806,7 +854,7 @@ class TestDeltaInPlace:
         logits = np.random.default_rng(3).standard_normal((4, 9)) * 50.0
         shifted = logits - logits.max(axis=1, keepdims=True)
         ref = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        out = scorefield.models._softmax_rows(logits)
+        out = scorefield.models._softmax_rows(logits, logits.max(axis=1, keepdims=True))
         assert out is logits
         np.testing.assert_array_equal(bits(out), bits(ref))
 
@@ -846,3 +894,91 @@ class TestValidation:
         for model in all_models():
             with pytest.raises(InvalidNoise):
                 model.score(np.zeros(model.dim), 0.0)
+
+
+class TestSigmaMemo:
+    """Gaussians and Gaussian mixtures memoize what depends on sigma alone."""
+
+    SIGMAS = (1e-3, 0.05, 0.7, 2.0, 80.0, 1e154)
+
+    @staticmethod
+    def calls(model, x, sigma):
+        # At 1e154 the rows sit at sigma z, where the mixtures' squared forms
+        # overflow and are retaken on x/sigma.
+        if sigma == 1e154:
+            x = sigma * x
+        out = [model.denoise(x, sigma), model.score(x, sigma), model.denoise(x[0], sigma)]
+        if isinstance(model, MixtureModel):
+            out.append(model.posterior_weights(x, sigma))
+        return [bits(a) for a in out]
+
+    def check_shuffled_twice(self, case, rows, seed):
+        # One model object sees each sigma twice in shuffled order; each
+        # evaluation must have the bits of a fresh model's.
+        rng = np.random.default_rng(seed)
+        model = memo_model(case)
+        x = 2.0 * rng.standard_normal((rows, model.dim))
+        for sigma in rng.permutation(self.SIGMAS * 2):
+            for warm, cold in zip(self.calls(model, x, sigma), self.calls(memo_model(case), x, sigma)):
+                np.testing.assert_array_equal(warm, cold)
+        if case != "isotropic":
+            assert sorted(model._memo) == sorted(self.SIGMAS)
+
+    @pytest.mark.parametrize("case", MEMO_CASES)
+    def test_warm_memo_keeps_every_bit(self, case):
+        self.check_shuffled_twice(case, 5, seed=len(str(case)))
+
+    @pytest.mark.parametrize("case", MEMO_CASES[-3:])
+    def test_warm_memo_keeps_every_bit_in_row_shares(self, monkeypatch, case):
+        pool = TestRowShares().split(monkeypatch, 2)
+        try:
+            self.check_shuffled_twice(case, 7, seed=11)
+        finally:
+            pool.shutdown()
+        assert pool.submitted > 0 or not isinstance(memo_model(case), MixtureModel)
+
+    @pytest.mark.parametrize("case", MEMO_CASES[-3:])
+    def test_threads_share_one_memo(self, case):
+        model = memo_model(case)
+        x = 2.0 * np.random.default_rng(12).standard_normal((3, model.dim))
+        sigmas = [float(s) for s in np.geomspace(1e-2, 1e2, 16)]
+        expected = {s: self.calls(memo_model(case), x, s) for s in sigmas}
+
+        def worker(k):
+            for sigma in np.random.default_rng(k).permutation(sigmas * 3):
+                for got, want in zip(self.calls(model, x, sigma), expected[sigma]):
+                    np.testing.assert_array_equal(got, want)
+            return k
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                done = [f.result(timeout=60) for f in [pool.submit(worker, k) for k in range(4)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert done == [0, 1, 2, 3]
+        if case != "isotropic":
+            assert sorted(model._memo) == sigmas
+
+    def test_memo_stays_within_the_block_budget(self):
+        # 520 and 512 elements per sigma: 126 and 128 sigmas fit, 300 do not.
+        for model in (ranked_mixture(72, 64, [64] * 8), GaussianModel(random_spectrum(73, 512, 512))):
+            x = np.zeros(model.dim)
+            sizes = []
+            for sigma in np.geomspace(1e-2, 1e2, 300):
+                model.denoise(x, sigma)
+                sizes.append(sum(a.size for consts in model._memo.values() for a in consts))
+            assert 0 < max(sizes) <= _BLOCK
+            assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied, not grown
+
+    @pytest.mark.parametrize("case", [MEMO_CASES[-3], "gaussian"])
+    def test_heun_fills_one_entry_per_level(self, case):
+        # A Heun step evaluates its own level and, but on the last step, the
+        # next one: 9 calls per trajectory at the first 5 of the 6 levels.
+        model = memo_model(case)
+        grid = parse_grid_spec("0.002:80:7:6")
+        rng = np.random.default_rng(8)
+        trajs = [heun_sample(model, grid, 80.0 * rng.standard_normal(model.dim)) for _ in range(3)]
+        assert [t.nfe for t in trajs] == [9, 9, 9]
+        assert sorted(model._memo) == sorted(float(s) for s in grid.levels[:-1])
