@@ -329,10 +329,12 @@ def bimodal_error_curve(m: float, q: float, D: int, sigma_grid, n_quad: int = 20
     Reduced to a one-dimensional expectation over the mode-axis marginal
     x_1 ~ 1/2 [N(m, q^2 + sigma^2) + N(-m, q^2 + sigma^2)] (the off-axis
     norm concentrates at (D-1)(q^2 + sigma^2)), evaluated with n_quad-point
-    Gauss-Hermite quadrature per component.
+    Gauss-Hermite quadrature per component. A non-finite value (an overflow,
+    or a node on the D = 1 singularity) raises NumericalBlowup.
     """
-    if m <= 0 or q < 0 or D < 1:
-        raise InvalidInput(f"need m > 0, q >= 0, D >= 1, got ({m}, {q}, {D})")
+    m, q = np.float64(m), np.float64(q)  # their squares overflow to inf, not OverflowError
+    if not (0 < m < np.inf and 0 <= q < np.inf and D >= 1):  # also rejects NaN
+        raise InvalidInput(f"need finite m > 0, q >= 0 and D >= 1, got ({m}, {q}, {D})")
     if n_quad < 64:
         raise InvalidInput(f"n_quad must be >= 64, got {n_quad}")
     # Imported here, not at module level: scipy.special is large and slow to
@@ -343,12 +345,15 @@ def bimodal_error_curve(m: float, q: float, D: int, sigma_grid, n_quad: int = 20
     sigma_grid = np.asarray(sigma_grid, dtype=np.float64).reshape(-1)
     out = np.empty(sigma_grid.size)
     for i, sigma in enumerate(sigma_grid):
-        s2 = q**2 + sigma**2
-        std = np.sqrt(s2)
-        acc = 0.0
-        for center in (m, -m):
-            x1 = center + np.sqrt(2.0) * std * nodes
-            acc += 0.5 * float(weights @ _bimodal_integrand(x1, m, s2, D)) / np.sqrt(np.pi)
+        with np.errstate(all="ignore"):  # a non-finite value raises below
+            s2 = q**2 + sigma**2
+            std = np.sqrt(s2)
+            acc = 0.0
+            for center in (m, -m):
+                x1 = center + np.sqrt(2.0) * std * nodes
+                acc += 0.5 * float(weights @ _bimodal_integrand(x1, m, s2, D)) / np.sqrt(np.pi)
+        if not np.isfinite(acc):
+            raise NumericalBlowup(f"non-finite bimodal deviation at sigma={sigma:g}, D={D}")
         out[i] = acc
     return out
 

@@ -42,7 +42,8 @@ from .samplers import (
     teleport_sample,
 )
 from .schedules import parse_grid_spec, parse_schedule_spec
-from .spectrum import _replacing, _save_table, load_cloud, save_cloud, spectrum_from_cloud
+from .spectrum import (_load_table, _replacing, _save_table, load_cloud, save_cloud,
+                       spectrum_from_cloud)
 from .synthetic import generate_cloud
 
 
@@ -247,7 +248,7 @@ def cmd_slice(args) -> None:
     _require(args, "models", "anchors", "sigma", "out")
     clouds = {}
     models = [_load_model_spec(m, clouds) for m in args.models.split(",")]
-    anchors = np.loadtxt(args.anchors, delimiter=",", ndmin=2)
+    anchors = _load_table(args.anchors)
     field = _slice_field(models, anchors, args.sigma, args.grid_n, args.extent)
     os.makedirs(args.out, exist_ok=True)
     for i in range(len(models)):

@@ -64,7 +64,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidData, InvalidInput, InvalidNoise, ShapeError, WrongVariant
+from .errors import (EmptyInput, InvalidData, InvalidInput, InvalidNoise, ScoreFieldError,
+                     ShapeError, WrongVariant)
 from .spectrum import (
     CompactSpectrum,
     PointCloud,
@@ -540,19 +541,23 @@ def model_to_json(model: ScoreModel, cloud_path: str | None = None) -> dict:
 
 
 def model_from_json(obj: dict, base_dir: str | None = None) -> ScoreModel:
+    if not isinstance(obj, dict):
+        raise InvalidData(f"a model must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind", "mixture" if "components" in obj else None)
     if kind == "isotropic":
         return IsotropicModel(np.asarray(obj["mean"], dtype=np.float64))
     if kind == "gaussian":
         return GaussianModel(spectrum_from_json(obj))
     if kind == "mixture":
-        comps = tuple(
-            GaussianComponent(float(c["weight"]), spectrum_from_json(c))
-            for c in obj["components"]
-        )
-        return MixtureModel(comps)
+        comps = obj["components"]
+        if not (isinstance(comps, list) and all(isinstance(c, dict) for c in comps)):
+            raise InvalidData("mixture components must be a list of JSON objects")
+        return MixtureModel(tuple(
+            GaussianComponent(float(c["weight"]), spectrum_from_json(c)) for c in comps))
     if kind == "delta":
         path = obj["cloud_path"]
+        if not isinstance(path, str):
+            raise InvalidData(f"cloud_path must be a string, got {type(path).__name__}")
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         return DeltaMixtureModel(load_cloud(path))
@@ -581,6 +586,11 @@ def save_model(model: ScoreModel, path, cloud_path: str | None = None) -> None:
 
 
 def load_model(path) -> ScoreModel:
+    """Read a model JSON file; a fault in its content raises an error naming ``path``."""
     with open(path) as f:
-        obj = json.load(f)
-    return model_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+        try:
+            return model_from_json(json.load(f), base_dir=os.path.dirname(os.path.abspath(path)))
+        except ScoreFieldError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidData(f"{path}: malformed model, {type(exc).__name__}: {exc}") from exc

@@ -3,13 +3,14 @@
 All EDM-style samplers integrate in sigma directly (sigma(t) = t), so the
 ODE is dx/dsigma = -sigma s(x, sigma) = (x - D(x, sigma)) / sigma. Runs are
 serial and deterministic. Heun, RK4 and DDIM are step rules over one
-integration loop, which counts the model calls each step makes; a
-trajectory's NFE is that count and is kept nowhere else.
+integration loop, and teleport is Heun's rule started at the closed-form
+jump. The loop counts the ``denoise`` calls, the only model method a step
+rule uses; a trajectory's NFE is that count and is kept nowhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,11 +50,9 @@ class Trajectory:
     def __post_init__(self):
         for name in ("t", "sigma", "alpha"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        object.__setattr__(self, "states", np.atleast_2d(np.asarray(self.states, dtype=np.float64)))
-        if self.denoised is not None:
-            object.__setattr__(
-                self, "denoised", np.atleast_2d(np.asarray(self.denoised, dtype=np.float64))
-            )
+        for name in ("states", "denoised"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, np.atleast_2d(np.asarray(value, dtype=np.float64)))
         if self.sigma.size > 1 and np.any(np.diff(self.sigma) >= 0):
             raise InvalidInput("trajectory sigma levels must be strictly decreasing")
 
@@ -67,9 +66,9 @@ class Trajectory:
 
 
 class _CountingView:
-    """Counts the ``denoise`` and ``score`` calls made to a model. Not a
-    ``ScoreModel``, so instrumentation that wraps the model classes sees
-    each call once, on the model."""
+    """Counts the ``denoise`` calls made to a model, the only model method a
+    step rule uses. Not a ``ScoreModel``, so instrumentation that wraps the
+    model classes sees each call once, on the model."""
 
     def __init__(self, model: ScoreModel):
         self.model = model
@@ -78,10 +77,6 @@ class _CountingView:
     def denoise(self, x, sigma):
         self.calls += 1
         return self.model.denoise(x, sigma)
-
-    def score(self, x, sigma):
-        self.calls += 1
-        return self.model.score(x, sigma)
 
 
 def _integrate(sampler: str, model: ScoreModel, x_start, arg: str, step, sigma: np.ndarray,
@@ -101,8 +96,7 @@ def _integrate(sampler: str, model: ScoreModel, x_start, arg: str, step, sigma: 
     for i in range(sigma.size - 1):
         x, denoised[i] = step(view, x, i)
         if not np.isfinite(x).all():
-            raise NumericalBlowup(
-                f"{sampler} produced a non-finite state at step {i}", step=i)
+            raise NumericalBlowup(f"{sampler} produced a non-finite state at step {i}", step=i)
         states[i + 1] = x
     return Trajectory(
         t=sigma.copy() if t is None else t,
@@ -114,15 +108,8 @@ def _integrate(sampler: str, model: ScoreModel, x_start, arg: str, step, sigma: 
     )
 
 
-def heun_sample(model: ScoreModel, grid: NoiseGrid, x_T: np.ndarray) -> Trajectory:
-    """Heun (2nd order) integration over the grid levels.
-
-    Euler predictor with slope d = (x - D(x, sigma)) / sigma, trapezoidal
-    corrector at the next level; the final step to sigma_{n-1} is plain Euler
-    (the corrector slope is undefined at sigma ~ 0 floors), giving
-    NFE = 2 (n-1) - 1.
-    """
-    levels = grid.levels
+def _heun_step(levels: np.ndarray):
+    """Heun's step rule over ``levels``, as ``heun_sample`` describes it."""
 
     def step(model, x, i):
         s_cur, s_next = levels[i], levels[i + 1]
@@ -134,7 +121,18 @@ def heun_sample(model: ScoreModel, grid: NoiseGrid, x_T: np.ndarray) -> Trajecto
             x_next = x + (s_next - s_cur) * 0.5 * (d_cur + d_next)
         return x_next, den
 
-    return _integrate("heun", model, x_T, "x_T", step, levels)
+    return step
+
+
+def heun_sample(model: ScoreModel, grid: NoiseGrid, x_T: np.ndarray) -> Trajectory:
+    """Heun (2nd order) integration over the grid levels.
+
+    Euler predictor with slope d = (x - D(x, sigma)) / sigma, trapezoidal
+    corrector at the next level; the final step to sigma_{n-1} is plain Euler
+    (the corrector slope is undefined at sigma ~ 0 floors), giving
+    NFE = 2 (n-1) - 1.
+    """
+    return _integrate("heun", model, x_T, "x_T", _heun_step(grid.levels), grid.levels)
 
 
 def rk4_sample(
@@ -157,16 +155,10 @@ def rk4_sample(
     if n_sub < 1:
         raise InvalidInput(f"n_sub must be >= 1, got {n_sub}")
 
-    if record_levels is None:
-        record = np.array([sigma_start, sigma_end], dtype=np.float64)
-    else:
-        record = np.asarray(record_levels, dtype=np.float64)
-        if record.size == 0 or record[0] != sigma_start or record[-1] != sigma_end:
-            record = np.concatenate([[sigma_start], record, [sigma_end]])
-        if np.any(record > sigma_start) or np.any(record < sigma_end):
-            raise InvalidInput("record levels must lie within [sigma_end, sigma_start]")
-    record = np.unique(record)[::-1]
-    span = sigma_start - sigma_end
+    levels = np.asarray(() if record_levels is None else record_levels, dtype=np.float64)
+    if not np.all((sigma_end <= levels) & (levels <= sigma_start)):
+        raise InvalidInput("record levels must lie within [sigma_end, sigma_start]")
+    record = np.unique(np.concatenate([[sigma_start], levels.reshape(-1), [sigma_end]]))[::-1]
 
     def slope(model, xv, sigma):
         # -sigma s(x, sigma) with the score evaluated no lower than the floor;
@@ -177,7 +169,7 @@ def rk4_sample(
 
     def step(model, x, seg):
         a, b = record[seg], record[seg + 1]
-        m = max(1, int(round(n_sub * (a - b) / span)))
+        m = max(1, int(round(n_sub * (a - b) / (sigma_start - sigma_end))))
         h = (b - a) / m
         for j in range(m):
             s0 = a + j * h
@@ -200,7 +192,7 @@ def teleport_sample(
     x_T: np.ndarray,
     skip_mode: str = "grid-aligned",
 ) -> Trajectory:
-    """Hybrid sampling: one Gaussian closed-form jump, then Heun.
+    """Hybrid sampling: one Gaussian closed-form jump, then Heun's rule from there.
 
     The state at ``sigma_skip`` is computed exactly from the Gaussian model
     of the target (``spec`` holds the training cloud's mean/covariance
@@ -215,34 +207,26 @@ def teleport_sample(
     remaining range [sigma_min, sigma_skip] is re-gridded with the same
     power-law rule and the grid's number of levels.
     """
-    levels = grid.levels
-    sigma_max, sigma_min = levels[0], levels[-1]
+    sigma_max, sigma_min = grid.levels[0], grid.levels[-1]
     if not (sigma_min < sigma_skip <= sigma_max):
-        raise InvalidSkip(
-            f"sigma_skip must lie in ({sigma_min}, {sigma_max}], got {sigma_skip}"
-        )
+        raise InvalidSkip(f"sigma_skip must lie in ({sigma_min}, {sigma_max}], got {sigma_skip}")
 
     ctx = SolutionContext.create(spec, x_T, sigma_T=float(sigma_max))
     x_skip = solve_state(ctx, float(sigma_skip))
 
     if skip_mode == "grid-aligned":
-        idx = grid.index_of(sigma_skip)
-        if idx is None:
-            raise InvalidSkip(
-                f"sigma_skip={sigma_skip} is not a grid level; use skip_mode='regrid'"
-            )
-        sub = grid.truncate_from(idx)
-        skipped = idx
+        skipped = grid.index_of(sigma_skip)
+        if skipped is None:
+            raise InvalidSkip(f"sigma_skip={sigma_skip} is not a grid level; use skip_mode='regrid'")
+        sub = grid.truncate_from(skipped)
     elif skip_mode == "regrid":
         sub = karras_grid(float(sigma_min), float(sigma_skip), grid.rho, len(grid))
         skipped = None
     else:
         raise InvalidInput(f"skip_mode must be 'grid-aligned' or 'regrid', got {skip_mode!r}")
 
-    traj = heun_sample(model, sub, x_skip)
-    return replace(traj, metadata={**traj.metadata, "sampler": "teleport",
-                                   "sigma_skip": float(sigma_skip), "skip_mode": skip_mode,
-                                   "skipped_levels": skipped})
+    return _integrate("teleport", model, x_skip, "x_T", _heun_step(sub.levels), sub.levels,
+                      sigma_skip=float(sigma_skip), skip_mode=skip_mode, skipped_levels=skipped)
 
 
 def ddim_style_sample(
@@ -254,27 +238,24 @@ def ddim_style_sample(
     """Deterministic VP sampler driven by the endpoint estimate.
 
     Steps t_i = T (1 - i/n_step). At each step the clean-sample estimate is
-    x0_hat = (x + sigma^2 s_scaled(x)) / alpha with the scaled score
-    s_scaled(x) = s(x / alpha, sigma / alpha) / alpha, and the update keeps
-    the noise direction fixed:
+    the denoiser of the scaled state, x0_hat = D(x / alpha, sigma / alpha)
+    (equal to (x + sigma^2 s(x / alpha, sigma / alpha) / alpha) / alpha),
+    and the update keeps the noise direction fixed:
 
         x_next = alpha_next x0_hat + sigma_next (x - alpha x0_hat) / sigma.
     """
     if n_step < 1:
         raise InvalidInput(f"n_step must be >= 1, got {n_step}")
-    horizon = schedule.T
-    times = horizon * (1.0 - np.arange(n_step + 1) / n_step)
+    times = schedule.T * (1.0 - np.arange(n_step + 1) / n_step)
     alphas = np.asarray(schedule.alpha(times), dtype=np.float64)
     sigmas = np.asarray(schedule.sigma(times), dtype=np.float64)
     if np.any(sigmas[:-1] <= 0):
         raise InvalidInput("schedule sigma must be positive on all but the final level")
 
-
     def step(model, x, i):
         a_cur, s_cur = alphas[i], sigmas[i]
         a_next, s_next = alphas[i + 1], sigmas[i + 1]
-        score_scaled = model.score(x / a_cur, s_cur / a_cur) / a_cur
-        x0_hat = (x + s_cur**2 * score_scaled) / a_cur
+        x0_hat = model.denoise(x / a_cur, s_cur / a_cur)
         return a_next * x0_hat + s_next * (x - a_cur * x0_hat) / s_cur, x0_hat
 
     return _integrate("ddim", model, x_T, "x_T", step, sigmas, t=times, alpha=alphas,
@@ -295,17 +276,15 @@ def save_trajectory_csv(traj: Trajectory, path, projection=None, include_denoise
         projection = np.asarray(projection, dtype=np.float64)
         states = states @ projection.T
         den = None if den is None else den @ projection.T
-    cols = [traj.t, traj.sigma, traj.alpha]
-    header = ["t", "sigma", "alpha"]
     d = states.shape[1]
-    cols.extend(states[:, j] for j in range(d))
-    header.extend(f"x{j}" for j in range(d))
+    blocks = [traj.t, traj.sigma, traj.alpha, states]
+    header = ["t", "sigma", "alpha", *(f"x{j}" for j in range(d))]
     if include_denoised:
         if den is None:
             raise InvalidInput("trajectory has no denoised records to export")
-        cols.extend(den[:, j] for j in range(d))
-        header.extend(f"d{j}" for j in range(d))
-    _save_table(path, np.column_stack(cols), ",".join(header))
+        blocks.append(den)
+        header += [f"d{j}" for j in range(d)]
+    _save_table(path, np.column_stack(blocks), ",".join(header))
 
 
 def load_trajectory_csv(path) -> Trajectory:

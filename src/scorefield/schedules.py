@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidData, InvalidInput, UnsupportedFramework
+from .spectrum import _load_table
 
 __all__ = [
     "NoiseGrid",
@@ -252,7 +253,7 @@ def schedule_from_config(cfg: dict) -> NoiseSchedule:
     if kind == "vp":
         return VpSchedule(float(cfg["beta_min"]), float(cfg["beta_max"]), float(cfg.get("T", 1.0)))
     if kind == "table":
-        table = np.loadtxt(cfg["path"], delimiter=",", ndmin=2)
+        table = _load_table(cfg["path"])
         if table.shape[1] != 3:
             raise InvalidData(f"{cfg['path']}: table schedule needs columns t, alpha, sigma")
         return TableSchedule(table[:, 0], table[:, 1], table[:, 2])

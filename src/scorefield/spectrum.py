@@ -102,8 +102,8 @@ class PointCloud:
 class CompactSpectrum:
     """Mean plus rank-r eigendecomposition U diag(eigenvalues) U^T.
 
-    Invariants checked at construction: U^T U = I within 1e-10, eigenvalues
-    strictly positive and descending.
+    Invariants checked at construction: D >= 1, every entry finite,
+    U^T U = I within 1e-10, eigenvalues strictly positive and descending.
     """
 
     mean: np.ndarray
@@ -114,6 +114,10 @@ class CompactSpectrum:
         mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
         basis = np.asarray(self.basis, dtype=np.float64)
         eigs = np.asarray(self.eigenvalues, dtype=np.float64).reshape(-1)
+        if mean.size < 1:
+            raise EmptyInput("spectrum mean must have D >= 1 entries, got 0")
+        if not all(np.isfinite(a).all() for a in (mean, basis, eigs)):
+            raise InvalidData("spectrum mean, basis and eigenvalues must be finite")
         if basis.ndim != 2:
             basis = basis.reshape(mean.size, -1)
         if basis.shape[0] != mean.size:
@@ -360,9 +364,17 @@ def save_cloud_csv(cloud: PointCloud, path, with_labels: bool = False) -> None:
     _save_table(path, out)
 
 
+def _load_table(path) -> np.ndarray:
+    """The one headerless numeric-CSV reader; bad content raises InvalidData naming ``path``."""
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a cell that is no number, or bytes that are no text
+        raise InvalidData(f"{path}: {exc}") from exc
+
+
 def load_cloud_csv(path, with_labels: bool = False) -> PointCloud:
     """Read a CSV cloud; ``with_labels`` selects a final integer label column."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    raw = _load_table(path)
     if with_labels:
         if raw.shape[1] < 2:
             raise InvalidData(f"{path}: expected a label column but found only one column")

@@ -115,6 +115,8 @@ def two_cluster_cloud(n: int, d: int, seed: int = 0, separation: float = 20.0, s
 
 def generate_cloud(kind: str, n: int, d: int, seed: int = 0, **kwargs) -> PointCloud:
     """Dispatch for the CLI's gen-synthetic subcommand."""
+    if n < 1 or d < 1:
+        raise InvalidInput(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if kind == "gaussian":
         return gaussian_cloud(n, d, seed, **kwargs)
     if kind == "gmm":

@@ -12,7 +12,7 @@ from scorefield.analysis import (
     trajectory_deviation_batch,
     unexplained_variance,
 )
-from scorefield.errors import DegeneratePlane, GridMismatch, NumericalBlowup
+from scorefield.errors import DegeneratePlane, GridMismatch, InvalidInput, NumericalBlowup
 from scorefield.models import DeltaMixtureModel, GaussianModel, ScoreModel
 from scorefield.samplers import Trajectory, heun_sample, rk4_sample
 from scorefield.schedules import VpSchedule, karras_grid
@@ -259,6 +259,25 @@ class TestBimodal:
         sigma = [2.0]
         values = [bimodal_error_curve(4.0, 0.1, d, sigma)[0] for d in (1, 16, 256)]
         assert values[0] > values[1] > values[2]
+
+    @pytest.mark.parametrize("m, q", [(np.nan, 0.1), (np.inf, 0.1), (0.0, 0.1), (4.0, np.nan),
+                                      (4.0, np.inf), (4.0, -1.0)])
+    def test_bad_scale_rejected(self, m, q):
+        with pytest.raises(InvalidInput, match="need finite m > 0, q >= 0"):
+            bimodal_error_curve(m, q, 4, [1.0])
+
+    @pytest.mark.parametrize("m, q, d, sigma, n_quad", [
+        (1e300, 0.1, 4, 1.0, 64),  # m^2 overflows
+        (4.0, 1e300, 4, 1.0, 64),  # q^2 overflows
+        (4.0, 0.1, 4, 1e200, 64),  # sigma^2 overflows
+        (4.0, 0.1, 4, np.nan, 64),
+        (4.0, 0.0, 4, 0.0, 64),  # no spread at all: 0/0
+        (4.0, 0.05, 1, 0.1, 65),  # the odd rule's node x_1 = m is the D = 1 pole
+    ])
+    def test_non_finite_value_raises(self, m, q, d, sigma, n_quad):
+        # under the suite's RuntimeWarning-as-error filter: no warning escapes
+        with pytest.raises(NumericalBlowup, match="non-finite bimodal deviation at sigma="):
+            bimodal_error_curve(m, q, d, [1.0, sigma], n_quad=n_quad)
 
     def test_quadrature_self_convergence(self):
         sigmas = [0.5, 1.0, 2.0, 4.0, 8.0]

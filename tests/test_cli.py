@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scorefield
 import scorefield.cli as cli
@@ -21,7 +25,7 @@ from scorefield.samplers import (
     teleport_sample,
 )
 from scorefield.schedules import parse_grid_spec, parse_schedule_spec
-from scorefield.spectrum import estimate_moments, load_cloud, spectrum_from_cloud
+from scorefield.spectrum import estimate_moments, load_cloud, save_cloud, spectrum_from_cloud
 
 
 @pytest.fixture
@@ -70,6 +74,14 @@ class TestGenSynthetic:
         meta = json.loads((tmp_path / "c.bin.meta.json").read_text())
         assert meta["command"] == "gen-synthetic"
         assert meta["params"]["seed"] == 1
+
+    @pytest.mark.parametrize("kind", ["gaussian", "gmm", "two-cluster"])
+    @pytest.mark.parametrize("n, d", [("0", "3"), ("-1", "3"), ("5", "0"), ("5", "-2")])
+    def test_empty_shape_exit_1(self, tmp_path, capsys, kind, n, d):
+        out = tmp_path / "c.csv"
+        assert run(["gen-synthetic", "--kind", kind, "--n", n, "--d", d, "--out", str(out)]) == 1
+        assert f"need n >= 1 and d >= 1, got n={n}, d={d}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -519,6 +531,33 @@ class TestErrors:
     def test_missing_required_option_exit_1(self, tmp_path):
         assert run(["fit-gmm", "--k", "1", "--out", str(tmp_path / "m.json")]) == 1
 
+    @pytest.mark.parametrize("text", [
+        "[1,2]", '"x"', "null",
+        '{"kind":"mixture","components":5}', '{"kind":"mixture","components":[1]}',
+        '{"kind":"delta","cloud_path":5}',
+        '{"kind":"isotropic","mean":[]}', '{"kind":"isotropic","mean":[NaN,0]}',
+        '{"kind":"gaussian","mean":[0],"basis":[[1]],"eigenvalues":[Infinity]}',
+    ])
+    def test_malformed_model_file_exit_1(self, tmp_path, capsys, text):
+        model = tmp_path / "m.json"
+        model.write_text(text)
+        out = tmp_path / "out"
+        assert run(["sample", "--model", str(model), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {model}: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"0,0,0,0\n1,0,0,a\n0,1,0,0\n", b"\xff\xfe\x00\x01"])
+    def test_malformed_anchors_exit_1(self, tmp_path, cloud_file, capsys, content):
+        anchors = tmp_path / "anchors.csv"
+        anchors.write_bytes(content)
+        out = tmp_path / "slices"
+        assert run(["slice", "--models", f"gaussian:{cloud_file}", "--anchors", str(anchors),
+                    "--sigma", "0.5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {anchors}: " in err and "Traceback" not in err
+        assert not out.exists()
+
 
 def run_python(args, cwd):
     """Run ``python <args>`` in a fresh interpreter that imports this scorefield."""
@@ -548,3 +587,134 @@ class TestModuleEntryPoint:
         proc = run_python(["-c", "import scorefield.cli, sys; "
                                  "sys.exit('scipy.special' in sys.modules)"], tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+
+def _fuzz_inputs(root: Path) -> dict:
+    """Value pools for every option, each mixing valid values with malformed
+    ones: bad numbers, and model, cloud, anchor and schedule files whose
+    content is wrong. Every file lives under ``root``."""
+    def put(name, content):
+        path = root / name
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        return str(path)
+
+    rows = np.random.default_rng(0).standard_normal((30, 2))
+    good = put("cloud.csv", "".join(f"{a:.17g},{b:.17g}\n" for a, b in rows))
+    save_cloud(load_cloud(good), str(root / "cloud.bin"))
+    clouds = [good, str(root / "cloud.bin"), put("cell.csv", "1,2\n3,a\n"),
+              put("binary.csv", b"\xff\xfe\x00\x01"), put("empty.csv", ""),
+              put("ragged.csv", "1,2\n3\n"), put("nan.csv", "1,2\nnan,0\n"),
+              put("short.bin", b"PCLD1\x02"), str(root / "absent.csv"), str(root)]
+    t = np.linspace(0.0, 1.0, 6)
+    tables = {"good": "".join(f"{a:.17g},{np.cos(a):.17g},{np.sin(a):.17g}\n" for a in t),
+              "cell": "0,1,0\n1,0.5,a\n", "cols": "0,1\n1,0.5\n", "back": "1,0.5,0.8\n0,1,0\n"}
+    spectrum = {"mean": [0.0, 0.0], "basis": [[1.0], [0.0]], "eigenvalues": [1.0]}
+    model_texts = ["[1,2]", '"x"', "null", "{not json", '{"kind":"mixture","components":5}',
+                   '{"kind":"mixture","components":[1]}', '{"kind":"delta","cloud_path":5}',
+                   '{"kind":"delta","cloud_path":"cell.csv"}', '{"kind":"isotropic","mean":[]}',
+                   '{"kind":"isotropic","mean":[NaN,0]}', '{"kind":"isotropic","mean":{}}',
+                   '{"kind":"gaussian","mean":[0],"basis":[[1]],"eigenvalues":[Infinity]}',
+                   '{"kind":"mixture","components":[{"weight":[1]}]}', '{"kind":"what"}',
+                   json.dumps({"kind": "gaussian", **spectrum}),
+                   json.dumps({"kind": "mixture", "components": [{"weight": 1.0, **spectrum}]})]
+    models = [put(f"model_{i}.json", text) for i, text in enumerate(model_texts)]
+    models += [f"{kind}:{c}" for kind in ("gaussian", "delta", "iso") for c in clouds[:4]]
+    anchors = [put(f"anchors_{i}.csv", text) for i, text in enumerate(
+        ["0,0\n1,0\n0,1\n", "0,0\n1,1\n2,2\n", "0,0\n0,0\n0,1\n", "0,0\n1,0\n",
+         "0,0,0\n1,0,0\n0,1,0\n", "0,0\n1,a\n0,1\n", "nan,0\n1,0\n0,1\n"])]
+    anchors += [put("anchors_binary.csv", b"\xff\xfe\x00\x01"), str(root / "absent.csv")]
+    ints = ["1", "2", "0", "-1", "x", "2.5"]
+    floats = ["2", "0.5", "0", "-1", "nan", "inf", "1e300", "x"]
+    return {
+        "model": models, "ref": models, "approx": models, "reference": ["delta", *models],
+        "models": [",".join(p) for p in zip(models, models[5:] + models[:5])] + models,
+        "cloud": clouds, "input": clouds, "anchors": anchors,
+        "schedule": ["vp:0.1:20:1", "edm:0.002:80", "vp:1", "vp:a:b", "edm:1:0.5", "what:1",
+                     *(f"table:{put(f'table_{k}.csv', v)}" for k, v in tables.items()),
+                     f"table:{clouds[3]}", f"table:{root / 'absent.csv'}"],
+        "grid": ["0.1:5:7:4", "0.002:80:7:3", "1:0.5:7:3", "0.1:5:7:1", "a:b:c:d", "0.1:5:7",
+                 "nan:5:7:4", "0.1:inf:7:4", "0:5:7:4", "0.1:5:-7:4"],
+        "sigmas": ["1", "0.5,2", "nan", "-1", "0", "", "1e-200", "1e200", "inf", "x"],
+        "lambdas": ["0.04,1", "0", "-1", "nan", "x", ""],
+        "k_list": ["1,2", "0", "50", "x", ""], "rank_list": ["0,full", "1", "-1", "x", ""],
+        "rank": ["full", "0", "1", "-1", "x"], "dims": ["1,2", "0", "-1", "x", ""],
+        "kind": ["gaussian", "gmm", "two-cluster", "what"],
+        "sampler": ["heun", "rk4", "ddim", "what"], "skip_mode": ["regrid", "grid-aligned", "x"],
+        "probe_dist": ["gaussian", "noised-cloud", "x"], "n_quad": ["64", "65", "10", "-1", "x"],
+        "skip": floats, "sigma": floats, "extent": floats, "m": floats, "q": floats,
+        "out": [str(root / "out"), str(root / "out.csv"), str(root / "absent" / "out"),
+                put("taken", "")],
+        "int": ints,
+    }
+
+
+class TestFuzz:
+    """Random argv over every subcommand: a valid command with some options
+    replaced by malformed values and files, or left out, and some moved into
+    ``--config``. ``run`` returns 0, 1 or 2 and never raises."""
+
+    @pytest.fixture(scope="class")
+    def pools(self, tmp_path_factory):
+        return _fuzz_inputs(tmp_path_factory.mktemp("fuzz"))
+
+    def test_run_exits_0_1_or_2(self, pools):
+        root = Path(pools["cloud"][0]).parent
+        good, out = pools["cloud"][0], str(root / "out")
+        valid = {
+            "gen-synthetic": {"kind": "gaussian", "d": "2", "n": "5", "out": out + ".csv"},
+            "fit-gmm": {"input": good, "k": "2", "max_iter": "3", "out": out + ".json"},
+            "sample": {"model": f"gaussian:{good}", "grid": "0.1:5:7:4", "steps": "3",
+                       "out": out},
+            "teleport": {"model": f"delta:{good}", "cloud": good, "skip": "2",
+                         "skip_mode": "regrid", "grid": "0.1:5:7:4", "out": out},
+            "compare": {"ref": f"delta:{good}", "approx": f"gaussian:{good}",
+                        "sigmas": "0.5,2", "probes": "4", "out": out + ".csv"},
+            "sweep": {"cloud": good, "k_list": "1,2", "rank_list": "0,full", "sigmas": "1",
+                      "probes": "4", "max_iter": "3", "out": out + ".csv"},
+            "slice": {"models": f"gaussian:{good},iso:{good}", "anchors": pools["anchors"][0],
+                      "sigma": "0.5", "grid_n": "3", "out": out},
+            "curves": {"n_t": "5", "out": out + ".csv"},
+            "bimodal": {"sigmas": "1", "dims": "1,2", "n_quad": "64", "out": out + ".csv"},
+        }
+        parser = cli.build_parser()
+        options = {name: sorted(a.dest for a in sub._actions
+                                if a.option_strings and a.dest not in ("help", "config"))
+                   for name, sub in parser._subparsers._group_actions[0].choices.items()}
+        assert sorted(options) == sorted(valid)
+        config = root / "config.json"
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(data=st.data())
+        def check(data):
+            command = data.draw(st.sampled_from(sorted(valid)))
+            values = dict(valid[command])
+            for key in data.draw(st.lists(st.sampled_from(options[command]), max_size=3,
+                                          unique=True)):
+                values[key] = data.draw(st.sampled_from([None, *pools.get(key, pools["int"])]))
+            values = {k: v for k, v in values.items() if v is not None}
+            argv = [command]
+            moved = data.draw(st.lists(st.sampled_from(sorted(values)), max_size=3,
+                                       unique=True)) if values else []
+            if moved:
+                # some options as a config object, or a config file that holds none
+                cfg = {k: values.pop(k) for k in moved}
+                typed = {k: _json_value(v) for k, v in cfg.items()}
+                config.write_text(data.draw(st.sampled_from(
+                    [json.dumps(cfg), json.dumps(typed)] * 2 + ["[1]", "{bad", '{"nope": 1}'])))
+                argv += ["--config", str(config)]
+            argv += [f"--{k.replace('_', '-')}={v}" for k, v in values.items()]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = run(argv)
+            assert code in (0, 1, 2), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+
+        check()
+
+
+def _json_value(text: str):
+    """An option value as the JSON number it spells, where it spells one."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text

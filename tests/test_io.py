@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import tracemalloc
 import types
 from pathlib import Path
@@ -53,6 +54,13 @@ def sample_spectrum():
 
 
 class TestCloudFiles:
+    @pytest.mark.parametrize("content", [b"1,2\n3,a\n", b"\xff\xfe\x00\x01", b"1,2\n3\n"])
+    def test_malformed_csv_names_its_file(self, tmp_path, content):
+        path = tmp_path / "cloud.csv"
+        path.write_bytes(content)
+        with pytest.raises(InvalidData, match=f"^{re.escape(str(path))}: "):
+            load_cloud_csv(path)
+
     def test_csv_roundtrip(self, tmp_path):
         cloud = sample_cloud(labels=False)
         path = tmp_path / "cloud.csv"
@@ -335,6 +343,30 @@ class TestModelJson:
     def test_delta_requires_cloud_path(self):
         with pytest.raises(InvalidData):
             model_to_json(DeltaMixtureModel(sample_cloud()))
+
+    @pytest.mark.parametrize("obj, message", [
+        ([1, 2], "must be a JSON object, got list"),
+        ("x", "must be a JSON object, got str"),
+        (None, "must be a JSON object, got NoneType"),
+        ({"kind": "mixture", "components": 5}, "components must be a list of JSON objects"),
+        ({"kind": "mixture", "components": [1]}, "components must be a list of JSON objects"),
+        ({"kind": "delta", "cloud_path": 5}, "cloud_path must be a string, got int"),
+    ])
+    def test_malformed_objects_raise_invalid_data(self, tmp_path, obj, message):
+        with pytest.raises(InvalidData, match=message):
+            model_from_json(obj)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InvalidData, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ['{"kind": "isotropic"}', '{"kind": "gaussian", "mean": "a"}',
+                                      '{"kind": "isotropic", "mean": {}}', "{not json"])
+    def test_load_model_names_its_file(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(InvalidData, match=f"^{re.escape(str(path))}: malformed model"):
+            load_model(path)
 
 
 def fingerprint_models(tmp_path):

@@ -564,6 +564,45 @@ class TestInvariants:
             sigma = float(rng.uniform(0.1, 10))
             np.testing.assert_array_equal(mix.score(x, sigma), gauss.score(x, sigma))
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           variant=st.sampled_from(["isotropic", "gaussian", "mixture", "delta"]))
+    def test_denoise_is_x_plus_sigma2_score_within_ulps(self, data, d, seed, variant):
+        # score = (D - x) / sigma^2 elementwise, so x + sigma^2 score gives D
+        # back up to the rounding of four operations on each element.
+        rng = np.random.default_rng(seed)
+        rank = data.draw(st.integers(0, d))
+        k = data.draw(st.integers(1, 4))
+        model = {
+            "isotropic": lambda: IsotropicModel(rng.standard_normal(d)),
+            "gaussian": lambda: GaussianModel(random_spectrum(seed, d, rank)),
+            "mixture": lambda: MixtureModel(tuple(
+                GaussianComponent(1.0 / k, random_spectrum(seed + i, d, rank, mean_scale=3.0))
+                for i in range(k))),
+            "delta": lambda: DeltaMixtureModel(PointCloud(rng.standard_normal((k + 4, d)))),
+        }[variant]()
+        elements = st.floats(-10.0, 10.0, allow_subnormal=False)
+        x = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 3)), d), elements=elements))
+        sigma = data.draw(st.floats(1e-3, 1e3))
+        den = model.denoise(x, sigma)
+        back = x + sigma**2 * model.score(x, sigma)
+        ulp = np.spacing(np.maximum(np.abs(x), np.abs(den)))
+        assert np.all(np.abs(back - den) <= 8 * ulp)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_one_component_mixture_is_the_gaussian_bitwise(self, data, d, seed):
+        low = data.draw(st.floats(1e-4, 1.0))
+        spec = random_spectrum(seed, d, data.draw(st.integers(0, d)),
+                               lam_range=(low, low * data.draw(st.floats(1.0, 1e4))),
+                               mean_scale=data.draw(st.floats(0.0, 10.0)))
+        mix, gauss = MixtureModel((GaussianComponent(1.0, spec),)), GaussianModel(spec)
+        elements = st.floats(-20.0, 20.0, allow_subnormal=False)
+        x = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 4)), d), elements=elements))
+        sigma = data.draw(st.floats(1e-3, 1e3))
+        np.testing.assert_array_equal(mix.denoise(x, sigma), gauss.denoise(x, sigma))
+        np.testing.assert_array_equal(mix.score(x, sigma), gauss.score(x, sigma))
+
     def test_reduction_zero_cov_mixture_equals_delta(self):
         rng = np.random.default_rng(29)
         cloud = PointCloud(rng.standard_normal((6, 3)))

@@ -131,16 +131,20 @@ class TestHeun:
         assert np.all(ratios > 3.0)
         assert np.all(ratios < 5.5)
 
-    @pytest.mark.parametrize("sampler", ["heun", "rk4", "ddim"])
+    @pytest.mark.parametrize("sampler", ["heun", "rk4", "ddim", "teleport"])
     def test_blowup_detection(self, sampler):
+        grid = karras_grid(0.1, 5.0, 7.0, 6)
         sample = {
-            "heun": lambda m: heun_sample(m, karras_grid(0.1, 5.0, 7.0, 6), np.ones(2)),
+            "heun": lambda m: heun_sample(m, grid, np.ones(2)),
             "rk4": lambda m: rk4_sample(m, 5.0, 0.1, 10, np.ones(2)),
             "ddim": lambda m: ddim_style_sample(m, VpSchedule(0.1, 20.0), 5, np.ones(2)),
+            "teleport": lambda m: teleport_sample(m, random_spectrum(3, 2, 1), grid, 5.0,
+                                                  np.ones(2)),
         }[sampler]
         with pytest.raises(NumericalBlowup) as info:
             sample(BlowupModel())
         assert info.value.step == 0
+        assert str(info.value).startswith(f"{sampler} produced a non-finite state")
 
     def test_records_denoised_along_the_way(self):
         spec = random_spectrum(9, 4, 1)
@@ -211,6 +215,28 @@ class TestRk4:
         assert np.all(np.isfinite(traj.endpoint))
         ctx = SolutionContext.create(spec, x_T, 10.0)
         assert np.linalg.norm(traj.endpoint - endpoint(ctx)) < 1e-3
+
+    def test_record_levels_are_normalized_once(self):
+        # No record levels, an empty list, the interior levels and the full
+        # levels all give the same segments, so the same bits.
+        model = two_mode_gmm(seed=2)
+        x = np.array([4.0, -2.5])
+        levels = karras_grid(0.1, 6.0, 7.0, 7).levels
+
+        def run(record_levels):
+            return rk4_sample(model, 6.0, 0.1, 40, x, record_levels=record_levels)
+
+        for a, b in ((run(None), run([])), (run(levels[1:-1]), run(levels))):
+            np.testing.assert_array_equal(a.sigma, b.sigma)
+            np.testing.assert_array_equal(a.states, b.states)
+            assert a.nfe == b.nfe
+        assert run(None).sigma.tolist() == [6.0, 0.1]
+
+    @pytest.mark.parametrize("levels", [[7.0], [0.05], [np.nan]])
+    def test_record_levels_outside_interval_rejected(self, levels):
+        model = GaussianModel(random_spectrum(6, 3, 1))
+        with pytest.raises(InvalidInput, match="record levels must lie within"):
+            rk4_sample(model, 6.0, 0.1, 10, np.zeros(3), record_levels=levels)
 
     @pytest.mark.parametrize("sigma_start, sigma_end, x_start, message", [
         pytest.param(1.0, 2.0, np.zeros(3), "sigma_start >= sigma_end", id="interval"),
@@ -288,6 +314,29 @@ class TestTeleport:
         ctx = SolutionContext.create(spec, x_T, 80.0)
         assert np.linalg.norm(traj.states[0] - solve_state(ctx, 5.0)) < 1e-12
 
+    @pytest.mark.parametrize("skip_mode", ["grid-aligned", "regrid"])
+    def test_is_heun_started_at_the_jump_state(self, skip_mode):
+        # Teleport is Heun's rule run from the closed-form state at sigma_skip:
+        # bit for bit heun_sample on the remaining grid from solve_state.
+        spec, _, grid, x_T = self._gaussian_setup(n=24)
+        model = two_mode_gmm(seed=4, d=12)
+        if skip_mode == "grid-aligned":
+            sigma_skip = float(grid.levels[7])
+            sub = grid.truncate_from(7)
+        else:
+            sigma_skip = 5.0
+            sub = karras_grid(float(grid.levels[-1]), sigma_skip, grid.rho, len(grid))
+        ctx = SolutionContext.create(spec, x_T, sigma_T=float(grid.levels[0]))
+        ref = heun_sample(model, sub, solve_state(ctx, sigma_skip))
+        tele = teleport_sample(model, spec, grid, sigma_skip, x_T, skip_mode=skip_mode)
+        np.testing.assert_array_equal(tele.sigma, ref.sigma)
+        np.testing.assert_array_equal(tele.states, ref.states)
+        np.testing.assert_array_equal(tele.denoised, ref.denoised)
+        assert tele.nfe == ref.nfe == 2 * (len(sub) - 1) - 1
+        assert tele.metadata == {"sampler": "teleport", "nfe": ref.nfe, "sigma_skip": sigma_skip,
+                                 "skip_mode": skip_mode,
+                                 "skipped_levels": 7 if skip_mode == "grid-aligned" else None}
+
     def test_invalid_skip(self):
         spec, model, grid, x_T = self._gaussian_setup(n=16)
         with pytest.raises(InvalidSkip):
@@ -344,6 +393,8 @@ class TestDdim:
         s = float(schedule.sigma(1.0))
         x0_hat = (x_T + s**2 * model.score(x_T / a, s / a) / a) / a
         np.testing.assert_allclose(traj.endpoint, x0_hat, rtol=1e-12)
+        # x0_hat is the denoiser of the scaled state, read directly
+        np.testing.assert_array_equal(traj.endpoint, model.denoise(x_T / a, s / a))
 
     def test_rank0_conserved_quantity(self):
         spec = CompactSpectrum(np.array([0.7, -0.7, 0.0]), np.zeros((3, 0)), np.zeros(0))

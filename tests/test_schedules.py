@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorefield.errors import InvalidInput, UnsupportedFramework
+from scorefield.errors import InvalidData, InvalidInput, UnsupportedFramework
 from scorefield.schedules import (
     EdmSchedule,
     TableSchedule,
@@ -184,6 +186,13 @@ class TestConfig:
         np.savetxt(path, np.column_stack([t, ref.alpha(t), ref.sigma(t)]), delimiter=",")
         sched = schedule_from_config({"kind": "table", "path": str(path)})
         np.testing.assert_allclose(sched.alpha(t), ref.alpha(t), atol=1e-12)
+
+    @pytest.mark.parametrize("content", [b"0,1,0\n1,0.5,a\n", b"\xff\xfe\x00\x01"])
+    def test_malformed_table_names_its_file(self, tmp_path, content):
+        path = tmp_path / "table.csv"
+        path.write_bytes(content)
+        with pytest.raises(InvalidData, match=f"^{re.escape(str(path))}: "):
+            parse_schedule_spec(f"table:{path}")
 
     def test_spec_strings(self):
         grid = parse_grid_spec("0.002:80:7:18")

@@ -263,6 +263,21 @@ class TestCompactSpectrum:
         with pytest.raises(InvalidData):
             compact_spectrum(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_empty_mean_rejected(self):
+        with pytest.raises(EmptyInput, match="D >= 1"):
+            CompactSpectrum(np.zeros(0), np.zeros((0, 0)), np.zeros(0))
+
+    @pytest.mark.parametrize("mean, basis, eigs", [
+        ([np.nan, 0.0], np.zeros((2, 0)), []),
+        ([0.0, np.inf], np.zeros((2, 0)), []),
+        ([0.0, 0.0], [[np.nan], [0.0]], [1.0]),
+        ([0.0, 0.0], [[1.0], [0.0]], [np.inf]),
+        ([0.0, 0.0], [[1.0], [0.0]], [np.nan]),
+    ])
+    def test_non_finite_entries_rejected(self, mean, basis, eigs):
+        with pytest.raises(InvalidData, match="must be finite"):
+            CompactSpectrum(np.asarray(mean), np.asarray(basis), np.asarray(eigs))
+
     def test_invariant_validation(self):
         with pytest.raises(InvalidData):
             CompactSpectrum(np.zeros(2), np.eye(2), [1.0, 2.0])  # ascending
