@@ -92,6 +92,13 @@ def _rank(text: str):
         raise argparse.ArgumentTypeError(f"invalid rank {text!r}: not an integer or full") from None
 
 
+def _seed(text: str) -> int:
+    """A seed: an integer >= 0, as numpy's SeedSequence requires."""
+    if text.strip().isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid seed {text!r}: not an integer >= 0")
+
+
 def _comma_list(convert):
     """argparse type of a comma-separated list of ``convert`` values, empty
     items skipped. argparse names the type by its ``__name__`` in errors."""
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kw in opts.items():
             p.add_argument(f"--{flag.replace('_', '-')}", **kw)
 
-    seed = {"type": int, "default": 0, "help": "seed of every random draw"}
+    seed = {"type": _seed, "default": 0, "help": "seed of every random draw"}
     out = {"help": "output path (required)"}
     model = {"help": "model JSON, or gaussian:/delta:/iso:<cloud file> (required)"}
     grid = {"default": "0.002:80:7:18", "help": "noise grid sigma_min:sigma_max:rho:n"}

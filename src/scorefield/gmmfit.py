@@ -5,13 +5,12 @@ each cluster's empirical mean and (population) covariance, truncated to the
 requested rank, with weights N_i / N. This is roughly one EM step, which is
 all the score-comparison harness needs.
 
-k-means takes every squared distance from the delta score's kernel
-(``models._sq_dists``), with the centers as its rows. Each distance pass
-splits its centers across CPUs through the models' pool
-(``models._in_shares``); every distance row is a pure function of its
-center, so assignments and centers do not depend on the share count. The
-sweep fits each K once at full rank and cuts every rank's mixture from
-that fit.
+A k-means pass needs only each point's nearest center. ``_nearest`` takes
+it from one einsum estimate where a proven error bound shows that the delta
+score's kernel (``models._sq_dists``) would pick the same center, and asks
+the kernel only for the points it cannot decide, so every assignment is the
+kernel's, on the calling thread alone. The sweep fits each K once at full
+rank and cuts every rank's mixture from that fit.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, InvalidK
-from .models import GaussianComponent, MixtureModel, ScoreModel, _in_shares, _sq_dists
+from .models import GaussianComponent, MixtureModel, ScoreModel, _sq_dists
 from .spectrum import CompactSpectrum, PointCloud, _kept, _replacing, spectrum_from_cloud
 
 __all__ = [
@@ -47,16 +46,29 @@ class KMeansResult:
 
 
 def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # Each point's nearest center, ties to the lowest index. The centers are
-    # the distance kernel's rows and split across CPUs, each share filling
-    # its own rows of the (K, N) distances.
-    d2 = np.empty((centers.shape[0], points.shape[0]))
-
-    def work(lo: int, hi: int) -> None:
-        d2[lo:hi] = _sq_dists(centers[lo:hi], points)
-
-    _in_shares(centers.shape[0], points.size, work)
-    return np.argmin(d2, axis=0)
+    # Each point's nearest center, ties to the lowest index: the kernel's
+    # argmin, which an estimate decides for most points. With t_k = |x - c_k|^2,
+    # u = 2^-53, G = (D+2)u / (1 - (D+2)u) and B = (|x| + max|c|)^2, the standard
+    # rounding bounds (any summation order, FMA or not) put the kernel's value
+    # within G B of t_k, and g_k = |c_k|^2 - 2 x.c_k within G B of t_k - |x|^2;
+    # subnormals add at most 4D 2^-1074 to each. A gap between the two smallest
+    # g above 4 G B + 16D 2^-1074 thus proves the smallest one the kernel's
+    # unique argmin. The test takes 8(D+4)u (|x|^2 + max|c|^2) + D tiny, which
+    # has room for its own rounding and overflows, sending the point to the
+    # kernel, before any distance can. Ties, near-ties and NaN go there too.
+    # einsum stays on one thread, where a BLAS product would spin a second.
+    d, sq = centers.shape[1], np.einsum("kd,kd->k", centers, centers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = sq[:, None] - 2.0 * np.einsum("kd,nd->kn", centers, points)
+        best, cols = np.argmin(g, axis=0), np.arange(points.shape[0])
+        gap = -g[best, cols]
+        g[best, cols] = np.inf
+        gap += g.min(axis=0)
+        bound = (np.einsum("nd,nd->n", points, points) + sq.max()) * (8.0 * (d + 4))
+        unsure = ~(gap > bound * np.finfo(float).epsneg + d * np.finfo(float).tiny)
+    if unsure.any():
+        best[unsure] = np.argmin(_sq_dists(centers, points[unsure]), axis=0)
+    return best
 
 
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

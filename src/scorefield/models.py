@@ -33,14 +33,12 @@ Threads live in one place: a module-level pool of ``W - 1`` workers, W being
 the usable CPU count, which ``_in_shares`` feeds. A mixture call splits its
 rows into at most W contiguous shares, as many as keep every share at
 ``_SHARE`` = 2^17 difference elements (share rows x components x D) or more;
-the caller works the first share and the pool the rest. A k-means distance
-pass (``gmmfit``) splits its centers instead, as many as keep every share
-at ``_SHARE`` elements (share centers x N x D), each share taking its rows
-of the (K, N) distances from ``_sq_dists``, the one squared-distance
-kernel. numpy's einsum and ufunc loops release the GIL, so the shares
-run at once, and since every row is a pure function of its input row, the
-output bits do not depend on W. A call too small for two shares runs on the
-calling thread alone, and importing this module starts no thread.
+the caller works the first share and the pool the rest; k-means
+(``gmmfit``) never splits. numpy's einsum and ufunc loops release the GIL,
+so the shares run at once, and since every row is a pure function of its
+input row, the output bits do not depend on W. A call too small for two
+shares runs on the calling thread alone, and importing this module starts
+no thread.
 
 Gaussian log-densities never touch a D x D matrix: with the compact spectrum
 ``Sigma = U diag(lam) U^T``,
@@ -100,9 +98,8 @@ _CHUNK = 256
 _BLOCK = 1 << 16
 
 # Usable CPUs, the difference elements a share of a posterior-mixture call
-# or a k-means distance pass must carry, and the pool that works every
-# share but the caller's (see the module docstring). The pool's threads start
-# at its first task.
+# must carry, and the pool that works every share but the caller's (see the
+# module docstring). The pool's threads start at its first task.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _SHARE = 1 << 17
 _POOL = ThreadPoolExecutor(max_workers=max(1, _CPUS - 1), thread_name_prefix="scorefield")

@@ -72,6 +72,9 @@ def karras_grid(sigma_min: float, sigma_max: float, rho: float = 7.0, n_step: in
     - sigma_max^(1/rho)))^rho`` for i = 0 .. n_step-1; endpoints land exactly
     on sigma_max and sigma_min.
     """
+    for name, value in (("sigma_min", sigma_min), ("sigma_max", sigma_max), ("rho", rho)):
+        if not np.isfinite(value):
+            raise InvalidInput(f"{name} must be finite, got {value}")
     if not (0 < sigma_min < sigma_max):
         raise InvalidInput(f"need 0 < sigma_min < sigma_max, got ({sigma_min}, {sigma_max})")
     if rho <= 0:

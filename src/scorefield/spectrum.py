@@ -13,6 +13,7 @@ import contextlib
 import os
 import stat
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,11 +366,16 @@ def save_cloud_csv(cloud: PointCloud, path, with_labels: bool = False) -> None:
 
 
 def _load_table(path) -> np.ndarray:
-    """The one headerless numeric-CSV reader; bad content raises InvalidData naming ``path``."""
+    """The one headerless numeric-CSV reader; bad or no content raises InvalidData naming ``path``."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # an empty file warns, and fails below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:  # a cell that is no number, or bytes that are no text
         raise InvalidData(f"{path}: {exc}") from exc
+    if table.size == 0:
+        raise InvalidData(f"{path}: no data")
+    return table
 
 
 def load_cloud_csv(path, with_labels: bool = False) -> PointCloud:

@@ -433,6 +433,18 @@ class TestConfig:
         params = json.loads((tmp_path / "m.json.meta.json").read_text())["params"]
         assert params[key.replace("-", "_")] == expected
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    @pytest.mark.parametrize("command", ["gen-synthetic", "fit-gmm", "sample", "teleport",
+                                         "compare", "sweep"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command, via_config):
+        argv = [command, "--out", str(tmp_path / "out")]
+        if via_config:
+            assert self._run(tmp_path, argv, {"seed": -1}) == 2
+        else:
+            assert run([*argv, "--seed", "-1"]) == 2
+        assert "argument --seed: invalid seed '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, cfg, code, message", [
         pytest.param(["sample"], {"samplr": "rk4"}, 2, "--samplr", id="unknown-key"),
         pytest.param(["sample"], {"samp": "rk4", "st": 3}, 2, "--samp", id="prefix-key"),
@@ -556,6 +568,37 @@ class TestErrors:
                     "--sigma", "0.5", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"error: {anchors}: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"", b"\n\n"])
+    @pytest.mark.parametrize("caller", ["cloud", "schedule", "anchors"])
+    def test_empty_table_names_its_file(self, tmp_path, cloud_file, capsys, caller, content):
+        table = tmp_path / "empty.csv"
+        table.write_bytes(content)
+        out = tmp_path / "out"
+        argv = {
+            "cloud": ["sample", "--model", f"gaussian:{table}"],
+            "schedule": ["curves", "--schedule", f"table:{table}"],
+            "anchors": ["slice", "--models", f"gaussian:{cloud_file}", "--anchors", str(table),
+                        "--sigma", "0.5"],
+        }[caller]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, "--out", str(out)]) == 1
+        assert f"error: {table}: no data" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0.1:inf:7:4", "sigma_max must be finite, got inf"),
+        ("0.1:80:inf:4", "rho must be finite, got inf"),
+    ])
+    def test_non_finite_grid_names_its_field(self, tmp_path, cloud_file, capsys, grid, message):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["sample", "--model", f"gaussian:{cloud_file}", "--grid", grid,
+                        "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 

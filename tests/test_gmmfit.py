@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scorefield.gmmfit
 import scorefield.models
@@ -13,6 +15,7 @@ from scorefield.analysis import unexplained_variance
 from scorefield.errors import InvalidData, InvalidInput, InvalidK, InvalidNoise
 from scorefield.gmmfit import (
     _kmeans_pp_init,
+    _nearest,
     fit_gmm,
     gmm_from_assignments,
     minibatch_kmeans_full,
@@ -102,7 +105,7 @@ class CountingPool(ThreadPoolExecutor):
 
 
 class TestKmeansShares:
-    """k-means distance passes split their centers across the models' pool."""
+    """k-means submits nothing to the models' pool, whatever its size."""
 
     def split(self, monkeypatch, workers):
         pool = CountingPool(max(1, workers - 1))
@@ -120,8 +123,7 @@ class TestKmeansShares:
             split = minibatch_kmeans_full(cloud, 6, batch=97, seed=3, max_iter=20)
         finally:
             pool.shutdown()
-        # One distance pass per iteration, then the final assignment.
-        assert pool.submitted == (whole.iterations + 1) * (workers - 1)
+        assert pool.submitted == 0
         np.testing.assert_array_equal(split.assignments, whole.assignments)
         assert split.centers.tobytes() == whole.centers.tobytes()
         assert split.iterations == whole.iterations
@@ -129,7 +131,7 @@ class TestKmeansShares:
 
     def test_small_fits_start_no_thread(self):
         # The set-up fit of the ensemble benchmark: 4000 x 16, K = 4, mini-batches
-        # of 2048 rows, each pass below two shares.
+        # of 2048 rows.
         code = (
             "import threading\n"
             "before = threading.active_count()\n"
@@ -238,6 +240,67 @@ class TestBatchedKmeansStep:
         np.testing.assert_array_equal(
             _sq_dists(centers, points), np.einsum("nkd,nkd->nk", diff, diff).T
         )
+
+
+class TestNearestScreen:
+    """The einsum screen picks every assignment the distance kernel does."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["grid", "near-ties", "duplicates", "offset", "tiny", "huge"]),
+           n=st.integers(1, 40), k=st.integers(1, 8), d=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), power=st.integers(0, 9))
+    def test_matches_the_kernel_argmin_exactly(self, kind, n, k, d, seed, power):
+        rng = np.random.default_rng(seed)
+        if kind == "grid":  # many exact ties
+            points = rng.integers(-2, 3, (n, d)).astype(float)
+            centers = rng.integers(-2, 3, (k, d)).astype(float)
+        elif kind == "near-ties":  # centers within rounding of one sphere around the points
+            centers = rng.standard_normal((k, d))
+            centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+            centers *= 1.0 + 1e-15 * rng.standard_normal((k, 1))
+            points = 1e-3 * rng.standard_normal((n, d))
+            points += 10.0 ** power
+            centers += 10.0 ** power
+        elif kind == "huge":  # 1e150 to 1e154, where |x - c|^2 overflows
+            scale = 10.0 ** min(150 + power, 154)
+            points, centers = (rng.uniform(-scale, scale, (m, d)) for m in (n, k))
+        else:
+            points = rng.standard_normal((n, d))
+            centers = np.concatenate([points[rng.integers(0, n, k)][: k // 2],
+                                      rng.standard_normal((k - k // 2, d))])
+            if kind == "duplicates":
+                centers[rng.integers(0, k, k)] = centers[0]
+            elif kind == "offset":
+                points += 10.0 ** (3 + power)
+                centers += 10.0 ** (3 + power)
+            else:  # tiny: 1e-160 to 1e-200, where products go subnormal or to 0
+                points *= 10.0 ** -(160 + power * power // 2)
+                centers *= 10.0 ** -(160 + power * power // 2)
+        with np.errstate(over="ignore"):
+            expected = np.argmin(_sq_dists(centers, points), axis=0)
+        np.testing.assert_array_equal(_nearest(points, centers), expected)
+
+    def test_overflowing_distances_tie_as_in_the_kernel(self):
+        # Both |x - c_k|^2 overflow, so the kernel ties them at inf and picks
+        # center 0, though the finite estimate ranks center 1 nearer.
+        points, centers = np.array([[-0.9e154]]), np.array([[0.7e154], [0.5e154]])
+        with np.errstate(over="ignore"):
+            assert np.argmin(_sq_dists(centers, points), axis=0).tolist() == [0]
+        assert _nearest(points, centers).tolist() == [0]
+
+    def test_benchmark_shape_never_reaches_the_kernel(self, monkeypatch):
+        cloud = gaussian_cloud(2000, 64, seed=1)
+        centers = minibatch_kmeans_full(cloud, 8, seed=1, max_iter=30).centers
+        rows = []
+
+        def counting(x, y):
+            rows.append(y.shape[0])
+            return _sq_dists(x, y)
+
+        monkeypatch.setattr(scorefield.gmmfit, "_sq_dists", counting)
+        expected = np.argmin(_sq_dists(centers, cloud.data), axis=0)
+        np.testing.assert_array_equal(_nearest(cloud.data, centers), expected)
+        assert sum(rows) == 0
 
 
 class TestFitGmm:

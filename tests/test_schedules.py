@@ -52,6 +52,16 @@ class TestKarrasGrid:
         with pytest.raises(InvalidInput):
             karras_grid(0.002, 80.0, 7.0, 1)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["sigma_min", "sigma_max", "rho"])
+    def test_non_finite_field_named(self, field, value):
+        params = {"sigma_min": 0.002, "sigma_max": 80.0, "rho": 7.0, field: value}
+        with pytest.raises(InvalidInput, match=f"^{field} must be finite, got {value}$"):
+            karras_grid(**params, n_step=18)
+        spec = ":".join(str(params[name]) for name in ("sigma_min", "sigma_max", "rho"))
+        with pytest.raises(InvalidInput, match=f"^{field} must be finite, got {value}$"):
+            parse_grid_spec(f"{spec}:18")
+
     def test_index_and_truncate(self):
         grid = karras_grid(0.002, 80.0, 7.0, 18)
         assert grid.index_of(grid.levels[5]) == 5
