@@ -13,7 +13,6 @@ from .analysis import (
     critical_times,
     slice_field,
     trajectory_deviation,
-    trajectory_deviation_batch,
     unexplained_variance,
 )
 from .errors import (

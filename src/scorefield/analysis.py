@@ -26,7 +26,6 @@ __all__ = [
     "UnexplainedVarianceStats",
     "unexplained_variance",
     "trajectory_deviation",
-    "trajectory_deviation_batch",
     "CurveTable",
     "analytical_curves",
     "critical_times",
@@ -111,40 +110,14 @@ def unexplained_variance(
     return ratio_stats(ref.score(x, sigma), approx.score(x, sigma), sigma)
 
 
-def _matching_levels(a: Trajectory, b: Trajectory) -> None:
-    if a.sigma.size != b.sigma.size or not np.allclose(a.sigma, b.sigma, rtol=1e-9, atol=0.0):
+def trajectory_deviation(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
+    """Per-level mean squared state error (1/D)|a - b|^2 between two
+    trajectories on the same noise levels."""
+    if traj_a.sigma.size != traj_b.sigma.size or not np.allclose(
+            traj_a.sigma, traj_b.sigma, rtol=1e-9, atol=0.0):
         raise GridMismatch("trajectories do not share the same noise levels")
-
-
-def trajectory_deviation(traj_a: Trajectory, traj_b: Trajectory, mode: str = "state") -> np.ndarray:
-    """Per-level mean squared error (1/D)|a - b|^2 between two trajectories
-    on the same noise levels. ``mode`` selects state or denoiser records."""
-    _matching_levels(traj_a, traj_b)
-    if mode == "state":
-        a, b = traj_a.states, traj_b.states
-    elif mode == "denoiser":
-        if traj_a.denoised is None or traj_b.denoised is None:
-            raise InvalidInput("both trajectories need denoised records for mode='denoiser'")
-        a, b = traj_a.denoised, traj_b.denoised
-    else:
-        raise InvalidInput(f"mode must be 'state' or 'denoiser', got {mode!r}")
-    diff = a - b
-    return np.einsum("nd,nd->n", diff, diff) / a.shape[1]
-
-
-def trajectory_deviation_batch(trajs_a, trajs_b, mode: str = "state"):
-    """Ensemble deviation curves: per-level mean and 25/75% quantiles over
-    matched trajectory pairs."""
-    trajs_a, trajs_b = list(trajs_a), list(trajs_b)
-    if len(trajs_a) != len(trajs_b) or not trajs_a:
-        raise InvalidInput("need equal, nonzero numbers of trajectories")
-    curves = np.asarray([trajectory_deviation(a, b, mode) for a, b in zip(trajs_a, trajs_b)])
-    return (
-        trajs_a[0].sigma.copy(),
-        curves.mean(axis=0),
-        np.percentile(curves, 25, axis=0),
-        np.percentile(curves, 75, axis=0),
-    )
+    diff = traj_a.states - traj_b.states
+    return np.einsum("nd,nd->n", diff, diff) / diff.shape[1]
 
 
 # ---------------------------------------------------------------------------

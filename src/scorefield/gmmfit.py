@@ -203,9 +203,10 @@ def _truncated(full: MixtureModel, rank: int) -> MixtureModel:
     comps = []
     for c in full.components:
         spec = c.spectrum
-        # Every kept eigenvalue is above a zero floor, so this is
-        # min(rank, spec.rank), and a negative rank fails as in a fit.
-        k = _kept(spec.eigenvalues, rank, 0.0)
+        # The fit already kept only eigenvalues above the floor set by the
+        # same lambda_max, so this is min(rank, spec.rank), and a negative
+        # rank fails as in a fit.
+        k = _kept(spec.eigenvalues, rank)
         comps.append(GaussianComponent(
             c.weight, CompactSpectrum(spec.mean, spec.basis[:, :k], spec.eigenvalues[:k])))
     return MixtureModel(tuple(comps))
@@ -235,9 +236,6 @@ class SweepTable:
     rows: tuple[dict, ...]
 
     COLUMNS = ("k", "rank", "sigma", "mean_uv", "q25", "q75", "ratio_of_sums", "n_excluded")
-
-    def column(self, name: str) -> np.ndarray:
-        return np.asarray([r[name] for r in self.rows])
 
     def filter(self, **kv) -> "SweepTable":
         rows = tuple(r for r in self.rows if all(r[k] == v for k, v in kv.items()))
@@ -313,8 +311,8 @@ def rank_mode_sweep(
     return SweepTable(tuple(rows))
 
 
-def minimal_sufficient_rank(table: SweepTable, k: int, sigma: float, slack: float = 0.10):
-    """Smallest rank whose residual stays within ``slack`` of the full-rank
+def minimal_sufficient_rank(table: SweepTable, k: int, sigma: float):
+    """Smallest rank whose residual stays within 10 % of the full-rank
     (largest-rank) residual at the given (K, sigma) cell."""
     sub = table.filter(k=k, sigma=float(sigma))
     if not sub.rows:
@@ -322,6 +320,6 @@ def minimal_sufficient_rank(table: SweepTable, k: int, sigma: float, slack: floa
     ranked = sorted(sub.rows, key=lambda r: np.inf if r["rank"] is None else r["rank"])
     full = ranked[-1]["mean_uv"]
     for r in ranked:
-        if r["mean_uv"] <= (1.0 + slack) * full:
+        if r["mean_uv"] <= 1.10 * full:
             return r["rank"]
     return ranked[-1]["rank"]

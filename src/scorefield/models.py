@@ -29,8 +29,10 @@ underflows to -inf is retaken relative to its smallest squared form
 whose forms overflow near the top of the sigma domain retakes them on
 ``x/sigma`` against ``centers/sigma``.
 
-Threads live in one place: a module-level pool of ``W - 1`` workers, W being
-the usable CPU count, which ``_in_shares`` feeds. A mixture call splits its
+Threads live in two places. This module holds a pool of ``W - 1`` workers,
+W being the usable CPU count, which ``_in_shares`` feeds; the CLI's
+``sample``/``teleport`` runner (``cli._ensemble``) holds its own pool over
+whole trajectories, gated by the same ``_SHARE``. A mixture call splits its
 rows into at most W contiguous shares, as many as keep every share at
 ``_SHARE`` = 2^17 difference elements (share rows x components x D) or more;
 the caller works the first share and the pool the rest; k-means

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidSkip, NumericalBlowup
+from .errors import InvalidData, InvalidInput, InvalidSkip, NumericalBlowup
 from .models import ScoreModel
 from .schedules import NoiseGrid, NoiseSchedule, karras_grid
 from .solution import SolutionContext, solve_state
-from .spectrum import CompactSpectrum, _save_table
+from .spectrum import CompactSpectrum, _load_table, _save_table
 
 __all__ = [
     "Trajectory",
@@ -266,35 +266,24 @@ def ddim_style_sample(
 # Trajectory CSV export
 # ---------------------------------------------------------------------------
 
-def save_trajectory_csv(traj: Trajectory, path, projection=None, include_denoised=False) -> None:
-    """CSV columns t, sigma, alpha, then state components (optionally
-    projected onto the rows of ``projection``), then denoiser columns on
-    request."""
-    states = traj.states
-    den = traj.denoised
-    if projection is not None:
-        projection = np.asarray(projection, dtype=np.float64)
-        states = states @ projection.T
-        den = None if den is None else den @ projection.T
-    d = states.shape[1]
-    blocks = [traj.t, traj.sigma, traj.alpha, states]
-    header = ["t", "sigma", "alpha", *(f"x{j}" for j in range(d))]
-    if include_denoised:
-        if den is None:
-            raise InvalidInput("trajectory has no denoised records to export")
-        blocks.append(den)
-        header += [f"d{j}" for j in range(d)]
-    _save_table(path, np.column_stack(blocks), ",".join(header))
+def save_trajectory_csv(traj: Trajectory, path) -> None:
+    """CSV columns t, sigma, alpha, then state components x0, x1, ..."""
+    header = ["t", "sigma", "alpha", *(f"x{j}" for j in range(traj.states.shape[1]))]
+    _save_table(path, np.column_stack([traj.t, traj.sigma, traj.alpha, traj.states]),
+                ",".join(header))
 
 
 def load_trajectory_csv(path) -> Trajectory:
+    """Read a trajectory that ``save_trajectory_csv`` wrote; bad or no
+    content raises InvalidData naming ``path``."""
+    raw = _load_table(path, skiprows=1)
     with open(path) as f:
-        header = f.readline().strip().split(",")
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    cols = {name: raw[:, j] for j, name in enumerate(header)}
-    x_cols = sorted((n for n in header if n.startswith("x")), key=lambda n: int(n[1:]))
-    d_cols = sorted((n for n in header if n.startswith("d")), key=lambda n: int(n[1:]))
-    states = np.column_stack([cols[n] for n in x_cols])
-    den = np.column_stack([cols[n] for n in d_cols]) if d_cols else None
-    return Trajectory(cols["t"], cols["sigma"], cols["alpha"], states, den)
-
+        header = f.readline().strip()
+    expected = ",".join(["t", "sigma", "alpha", *(f"x{j}" for j in range(raw.shape[1] - 3))])
+    if raw.shape[1] < 4 or header != expected:
+        raise InvalidData(f"{path}: header {header!r} does not name t,sigma,alpha,x0.. "
+                          f"for {raw.shape[1]} columns")
+    try:
+        return Trajectory(raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3:])
+    except InvalidInput as exc:  # sigma not strictly decreasing
+        raise InvalidData(f"{path}: {exc}") from exc

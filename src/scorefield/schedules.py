@@ -123,9 +123,6 @@ class EdmSchedule(NoiseSchedule):
     def sigma(self, t):
         return np.asarray(t, dtype=np.float64)
 
-    def sigma_dot(self, t):
-        return np.ones_like(np.asarray(t, dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class VpSchedule(NoiseSchedule):
@@ -152,10 +149,6 @@ class VpSchedule(NoiseSchedule):
     def T(self) -> float:
         return self.horizon
 
-    def beta(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return self.beta_min + (self.beta_max - self.beta_min) * t / self.horizon
-
     def alpha(self, t):
         t = np.asarray(t, dtype=np.float64)
         integral = self.beta_min * t + 0.5 * (self.beta_max - self.beta_min) * t**2 / self.horizon
@@ -164,12 +157,6 @@ class VpSchedule(NoiseSchedule):
     def sigma(self, t):
         a = self.alpha(t)
         return np.sqrt(np.maximum(1.0 - a**2, 0.0))
-
-    def sigma_dot(self, t):
-        """d sigma/dt = alpha^2 beta / (2 sigma); undefined at t = 0."""
-        a = self.alpha(t)
-        s = self.sigma(t)
-        return a**2 * self.beta(t) / (2.0 * s)
 
 
 @dataclass(frozen=True)

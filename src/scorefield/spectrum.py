@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidData, ShapeError
+from .errors import EmptyInput, InvalidData, ScoreFieldError, ShapeError
 
 __all__ = [
     "PointCloud",
@@ -218,14 +218,13 @@ def compact_spectrum(
     mean: np.ndarray,
     covariance: np.ndarray,
     max_rank: int | None = None,
-    eig_floor: float | None = None,
 ) -> CompactSpectrum:
     """Truncated eigendecomposition of a symmetric PSD covariance.
 
-    Keeps eigenpairs with eigenvalue > ``eig_floor`` (default
-    ``1e-10 * lambda_max``, stripping numerical-noise modes), sorted
-    descending and truncated to ``max_rank``. Column signs are fixed so the
-    largest-magnitude entry of each basis vector is positive.
+    Keeps eigenpairs with eigenvalue > ``1e-10 * lambda_max``, stripping
+    numerical-noise modes, sorted descending and truncated to ``max_rank``.
+    Column signs are fixed so the largest-magnitude entry of each basis
+    vector is positive.
     """
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     cov = np.asarray(covariance, dtype=np.float64)
@@ -241,8 +240,6 @@ def compact_spectrum(
     gap = np.max(work)
     if gap > 1e-8 * scale:
         raise InvalidData("covariance is not symmetric within 1e-8")
-    if eig_floor is not None and eig_floor < 0:
-        raise InvalidData("eig_floor must be >= 0")
 
     if gap > 0:
         cov = np.multiply(0.5, np.add(cov, cov.T, out=work), out=work)
@@ -250,27 +247,24 @@ def compact_spectrum(
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
-    k = _kept(eigvals, max_rank, eig_floor)
+    k = _kept(eigvals, max_rank)
     return CompactSpectrum(mean, _fix_column_signs(eigvecs[:, order[:k]]), eigvals[:k])
 
 
-def _kept(eigvals, max_rank, eig_floor) -> int:
+def _kept(eigvals, max_rank) -> int:
     """How many of the descending ``eigvals`` to keep: those above
-    ``eig_floor`` (default ``1e-10 * lambda_max``), at most ``max_rank``.
-    The kept set is a prefix, since the eigenvalues are sorted."""
+    ``1e-10 * lambda_max``, at most ``max_rank``. The kept set is a prefix,
+    since the eigenvalues are sorted."""
     if max_rank is not None and max_rank < 0:
         raise InvalidData("max_rank must be >= 0")
-    if eig_floor is None:
-        lam_max = eigvals[0] if eigvals.size else 0.0
-        eig_floor = 1e-10 * max(lam_max, 0.0)
-    k = int(np.count_nonzero(eigvals > max(eig_floor, 0.0)))
+    lam_max = eigvals[0] if eigvals.size else 0.0
+    k = int(np.count_nonzero(eigvals > 1e-10 * max(lam_max, 0.0)))
     return k if max_rank is None else min(k, max_rank)
 
 
 def spectrum_from_cloud(
     cloud: PointCloud,
     max_rank: int | None = None,
-    eig_floor: float | None = None,
 ) -> CompactSpectrum:
     """Compact spectrum of a cloud's population covariance.
 
@@ -283,7 +277,7 @@ def spectrum_from_cloud(
     n, d = cloud.n_samples, cloud.dim
     if n >= d:
         mean, cov = estimate_moments(cloud)
-        return compact_spectrum(mean, cov, max_rank, eig_floor)
+        return compact_spectrum(mean, cov, max_rank)
 
     mean = cloud.data.mean(axis=0)
     centered = cloud.data - mean
@@ -299,7 +293,7 @@ def spectrum_from_cloud(
     basis = centered.T @ eigvecs[:, order[:pos]]
     del centered
     basis /= np.sqrt(n * eigvals)
-    k = _kept(eigvals, max_rank, eig_floor)
+    k = _kept(eigvals, max_rank)
     return CompactSpectrum(mean, _fix_column_signs(basis[:, :k]), eigvals[:k])
 
 
@@ -365,17 +359,26 @@ def save_cloud_csv(cloud: PointCloud, path, with_labels: bool = False) -> None:
     _save_table(path, out)
 
 
-def _load_table(path) -> np.ndarray:
-    """The one headerless numeric-CSV reader; bad or no content raises InvalidData naming ``path``."""
+def _load_table(path, skiprows: int = 0) -> np.ndarray:
+    """The one numeric-CSV reader, after ``skiprows`` header lines; bad or
+    no content raises InvalidData naming ``path``."""
     try:
         with warnings.catch_warnings():  # an empty file warns, and fails below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(path, delimiter=",", ndmin=2)
+            table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skiprows)
     except ValueError as exc:  # a cell that is no number, or bytes that are no text
         raise InvalidData(f"{path}: {exc}") from exc
     if table.size == 0:
         raise InvalidData(f"{path}: no data")
     return table
+
+
+def _file_cloud(path, data, labels=None) -> PointCloud:
+    """``PointCloud(data, labels)`` of a file's content; its errors name ``path``."""
+    try:
+        return PointCloud(data, labels)
+    except ScoreFieldError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_cloud_csv(path, with_labels: bool = False) -> PointCloud:
@@ -384,8 +387,8 @@ def load_cloud_csv(path, with_labels: bool = False) -> PointCloud:
     if with_labels:
         if raw.shape[1] < 2:
             raise InvalidData(f"{path}: expected a label column but found only one column")
-        return PointCloud(raw[:, :-1], raw[:, -1].astype(np.int64))
-    return PointCloud(raw)
+        return _file_cloud(path, raw[:, :-1], raw[:, -1].astype(np.int64))
+    return _file_cloud(path, raw)
 
 
 def save_cloud_binary(cloud: PointCloud, path) -> None:
@@ -433,14 +436,14 @@ def load_cloud_binary(path) -> PointCloud:
         labels = _read_payload(f, path, n, "<i4") if has_labels else None
         if f.read(1):
             raise InvalidData(f"{path}: bytes follow the {expected} that its header gives")
-    return PointCloud(data, labels)
+    return _file_cloud(path, data, labels)
 
 
-def save_cloud(cloud: PointCloud, path, with_labels: bool | None = None) -> None:
-    """Dispatch on extension: .csv -> CSV, anything else -> binary."""
+def save_cloud(cloud: PointCloud, path, with_labels: bool = False) -> None:
+    """Dispatch on extension: .csv -> CSV, anything else -> binary. A CSV
+    gets a label column only when ``with_labels`` asks for it, as
+    ``load_cloud`` reads one only then; a binary file keeps the labels."""
     if str(path).endswith(".csv"):
-        if with_labels is None:
-            with_labels = cloud.labels is not None
         save_cloud_csv(cloud, path, with_labels)
     else:
         save_cloud_binary(cloud, path)

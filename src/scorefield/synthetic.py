@@ -15,29 +15,21 @@ def _orthonormal(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
     return q[:, :r]
 
 
-def gaussian_cloud(
-    n: int,
-    d: int,
-    seed: int = 0,
-    rank: int | None = None,
-    eigenvalues=None,
-    mean=None,
-) -> PointCloud:
-    """Samples from one Gaussian with a random low-rank covariance.
+def gaussian_cloud(n: int, d: int, seed: int = 0, rank: int | None = None) -> PointCloud:
+    """Samples from one zero-mean Gaussian with a random low-rank covariance.
 
-    Default spectrum is the power law lam_k = 4 / k^2 over ``rank`` modes
+    The spectrum is the power law lam_k = 4 / k^2 over ``rank`` modes
     (rank defaults to min(d, 8)).
     """
     rng = np.random.default_rng(seed)
     if rank is None:
         rank = min(d, 8)
-    if eigenvalues is None:
-        eigenvalues = 4.0 / np.arange(1, rank + 1) ** 2
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    basis = _orthonormal(rng, d, eigenvalues.size)
-    mu = np.zeros(d) if mean is None else np.asarray(mean, dtype=np.float64)
-    z = rng.standard_normal((n, eigenvalues.size)) * np.sqrt(eigenvalues)
-    return PointCloud(mu + z @ basis.T)
+    eigenvalues = 4.0 / np.arange(1, rank + 1) ** 2
+    basis = _orthonormal(rng, d, rank)
+    z = rng.standard_normal((n, rank)) * np.sqrt(eigenvalues)
+    # Adding the zero mean turns each -0.0 of the product into +0.0, which
+    # the cloud's bytes depend on.
+    return PointCloud(np.zeros(d) + z @ basis.T)
 
 
 def gmm_cloud(

@@ -9,7 +9,6 @@ from scorefield.analysis import (
     ratio_stats,
     slice_field,
     trajectory_deviation,
-    trajectory_deviation_batch,
     unexplained_variance,
 )
 from scorefield.errors import DegeneratePlane, GridMismatch, InvalidInput, NumericalBlowup
@@ -141,16 +140,6 @@ class TestTrajectoryDeviation:
         b = Trajectory([2.0, 0.5], [2.0, 0.5], [1, 1], np.ones((2, 2)))
         with pytest.raises(GridMismatch):
             trajectory_deviation(a, b)
-
-    def test_batch_quantiles(self):
-        base = Trajectory([2.0, 1.0], [2.0, 1.0], [1, 1], np.zeros((2, 2)))
-        others = [
-            Trajectory([2.0, 1.0], [2.0, 1.0], [1, 1], np.full((2, 2), v))
-            for v in (1.0, 2.0, 3.0, 4.0)
-        ]
-        sigma, mean, q25, q75 = trajectory_deviation_batch([base] * 4, others)
-        np.testing.assert_allclose(mean, np.full(2, np.mean([1, 4, 9, 16])))
-        assert np.all(q25 < q75)
 
 
 class TestAnalyticalCurves:

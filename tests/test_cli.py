@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -26,6 +27,12 @@ from scorefield.samplers import (
 )
 from scorefield.schedules import parse_grid_spec, parse_schedule_spec
 from scorefield.spectrum import estimate_moments, load_cloud, save_cloud, spectrum_from_cloud
+from scorefield.synthetic import gmm_cloud
+
+
+def _pcld1(n: int, d: int, values) -> bytes:
+    """An unlabelled PCLD1 file holding ``values`` under an (n, d) header."""
+    return b"PCLD1" + struct.pack("<IIB", n, d, 0) + np.asarray(values, "<f8").tobytes()
 
 
 @pytest.fixture
@@ -87,10 +94,16 @@ class TestGenSynthetic:
         out = tmp_path / "c.csv"
         assert run(["gen-synthetic", "--kind", "two-cluster", "--d", "3", "--n", "10",
                     "--seed", "0", "--out", str(out)]) == 0
-        # two-cluster clouds carry labels, written as the final column
-        cloud = load_cloud(out, with_labels=True)
-        assert cloud.dim == 3
-        assert set(cloud.labels.tolist()) == {0, 1}
+        # two-cluster clouds carry labels, but a CSV cloud has only coordinates
+        assert np.loadtxt(out, delimiter=",").shape == (10, 3)
+
+    def test_labelled_kind_to_csv_fits_in_d_dimensions(self, tmp_path):
+        cloud = tmp_path / "c.csv"
+        assert run(["gen-synthetic", "--kind", "gmm", "--d", "3", "--n", "10", "--k", "2",
+                    "--seed", "0", "--out", str(cloud)]) == 0
+        out = tmp_path / "gmm.json"
+        assert run(["fit-gmm", "--input", str(cloud), "--k", "2", "--out", str(out)]) == 0
+        assert [len(c["mean"]) for c in json.loads(out.read_text())["components"]] == [3, 3]
 
 
 class TestFitGmm:
@@ -570,6 +583,20 @@ class TestErrors:
         assert f"error: {anchors}: " in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, content", [
+        ("nan.csv", b"1,2\nnan,0\n"),
+        ("nan.bin", _pcld1(2, 2, [1.0, 2.0, np.nan, 0.0])),
+        ("no_rows.bin", _pcld1(0, 3, [])),
+    ], ids=["nan.csv", "nan.bin", "no_rows.bin"])
+    def test_bad_cloud_content_names_its_file(self, tmp_path, capsys, name, content):
+        cloud = tmp_path / name
+        cloud.write_bytes(content)
+        assert run(["fit-gmm", "--input", str(cloud), "--k", "1",
+                    "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cloud}: " in err and err.count(str(cloud)) == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("content", [b"", b"\n\n"])
     @pytest.mark.parametrize("caller", ["cloud", "schedule", "anchors"])
     def test_empty_table_names_its_file(self, tmp_path, cloud_file, capsys, caller, content):
@@ -647,7 +674,11 @@ def _fuzz_inputs(root: Path) -> dict:
     clouds = [good, str(root / "cloud.bin"), put("cell.csv", "1,2\n3,a\n"),
               put("binary.csv", b"\xff\xfe\x00\x01"), put("empty.csv", ""),
               put("ragged.csv", "1,2\n3\n"), put("nan.csv", "1,2\nnan,0\n"),
-              put("short.bin", b"PCLD1\x02"), str(root / "absent.csv"), str(root)]
+              put("short.bin", b"PCLD1\x02"), str(root / "absent.csv"), str(root),
+              put("nan.bin", _pcld1(2, 2, [1.0, 2.0, np.nan, 0.0])),
+              put("no_rows.bin", _pcld1(0, 3, []))]
+    save_cloud(gmm_cloud(12, 2, k=2, seed=0), str(root / "labelled.csv"), with_labels=True)
+    clouds.append(str(root / "labelled.csv"))
     t = np.linspace(0.0, 1.0, 6)
     tables = {"good": "".join(f"{a:.17g},{np.cos(a):.17g},{np.sin(a):.17g}\n" for a in t),
               "cell": "0,1,0\n1,0.5,a\n", "cols": "0,1\n1,0.5\n", "back": "1,0.5,0.8\n0,1,0\n"}

@@ -16,6 +16,7 @@ from scorefield.errors import InvalidData, InvalidInput, InvalidK, InvalidNoise
 from scorefield.gmmfit import (
     _kmeans_pp_init,
     _nearest,
+    _truncated,
     fit_gmm,
     gmm_from_assignments,
     minibatch_kmeans_full,
@@ -441,9 +442,9 @@ class TestRankModeSweep:
     def test_one_spectrum_fit_per_cluster_and_k(self, monkeypatch):
         fits = []
 
-        def counting_fit(cloud, max_rank=None, eig_floor=None):
+        def counting_fit(cloud, max_rank=None):
             fits.append(max_rank)
-            return spectrum_from_cloud(cloud, max_rank, eig_floor)
+            return spectrum_from_cloud(cloud, max_rank)
 
         monkeypatch.setattr(scorefield.gmmfit, "spectrum_from_cloud", counting_fit)
         cloud = gaussian_cloud(400, 8, seed=3)
@@ -451,6 +452,23 @@ class TestRankModeSweep:
                                 DeltaMixtureModel(cloud), n_probe=16, seed=1, max_iter=5)
         assert len(table.rows) == 4 * 3 * 2
         assert fits == [None] * 15
+
+    @pytest.mark.parametrize("shape", [(60, 5), (6, 9)])
+    def test_truncated_full_fit_equals_rank_fit_bitwise(self, shape):
+        # Two clusters of N/2 points: the dense route for (60, 5), the Gram
+        # route (N < D) for (6, 9).
+        n, d = shape
+        cloud = PointCloud(np.random.default_rng(8).standard_normal(shape) * np.linspace(2.0, 0.1, d))
+        assign = np.arange(n) % 2
+        full = gmm_from_assignments(cloud, assign, None)
+        for r in (0, 1, d, d + 1):
+            cut = _truncated(full, r).components
+            fit = gmm_from_assignments(cloud, assign, r).components
+            assert [c.weight for c in cut] == [c.weight for c in fit]
+            for a, b in zip(cut, fit):
+                for name in ("mean", "basis", "eigenvalues"):
+                    x, y = getattr(a.spectrum, name), getattr(b.spectrum, name)
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("shape", [(40, 3), (12, 20)])
     def test_negative_rank_rejected(self, shape):

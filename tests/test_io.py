@@ -577,10 +577,9 @@ class TestTrajectoryCsv:
     def test_roundtrip(self, tmp_path):
         traj = self._traj()
         path = tmp_path / "traj.csv"
-        save_trajectory_csv(traj, path, include_denoised=True)
+        save_trajectory_csv(traj, path)
         back = load_trajectory_csv(path)
         np.testing.assert_array_equal(back.states, traj.states)
-        np.testing.assert_array_equal(back.denoised, traj.denoised)
         np.testing.assert_array_equal(back.sigma, traj.sigma)
 
     def test_header(self, tmp_path):
@@ -589,11 +588,13 @@ class TestTrajectoryCsv:
         header = path.read_text().splitlines()[0]
         assert header == "t,sigma,alpha,x0,x1,x2,x3"
 
-    def test_projection(self, tmp_path):
-        traj = self._traj()
-        proj = np.zeros((2, 4))
-        proj[0, 0] = proj[1, 1] = 1.0
+    @pytest.mark.parametrize("content", [
+        "", "t,sigma,alpha,x0\n", "t,sigma,alpha,x0\n2,2,1,0.5\n1,1,1,a\n",
+        "t,alpha,sigma,x0\n2,1,2,0.5\n1,1,1,0.25\n", "t,sigma,alpha\n2,2,1\n1,1,1\n",
+        "t,sigma,alpha,x0\n1,1,1,0.5\n2,2,1,0.25\n",
+    ], ids=["empty", "header_only", "cell", "column_order", "no_state", "sigma_rising"])
+    def test_bad_content_names_path(self, tmp_path, content):
         path = tmp_path / "traj.csv"
-        save_trajectory_csv(traj, path, projection=proj)
-        back = load_trajectory_csv(path)
-        np.testing.assert_array_equal(back.states, traj.states[:, :2])
+        path.write_text(content)
+        with pytest.raises(InvalidData, match=re.escape(f"{path}: ")):
+            load_trajectory_csv(path)

@@ -109,13 +109,6 @@ class TestVpSchedule:
         assert np.all(np.diff(sched.alpha(t)) <= 0)
         assert np.all(np.diff(sched.sigma(t)) >= 0)
 
-    def test_sigma_dot_matches_finite_difference(self):
-        sched = vp_schedule(0.1, 20.0)
-        h = 1e-7
-        for t in (0.05, 0.3, 0.7, 0.95):
-            fd = (float(sched.sigma(t + h)) - float(sched.sigma(t - h))) / (2 * h)
-            np.testing.assert_allclose(float(sched.sigma_dot(t)), fd, rtol=1e-6)
-
     def test_invalid_beta(self):
         with pytest.raises(InvalidInput):
             vp_schedule(-0.1, 20.0)
@@ -129,7 +122,6 @@ class TestEdmSchedule:
         t = np.linspace(0, 80, 11)
         np.testing.assert_array_equal(sched.sigma(t), t)
         np.testing.assert_array_equal(sched.alpha(t), np.ones(11))
-        np.testing.assert_array_equal(sched.sigma_dot(t), np.ones(11))
         assert sched.T == 80.0
 
 

@@ -139,12 +139,10 @@ def reference_moments(data):
     return mean, 0.5 * (cov + cov.T)
 
 
-def reference_truncate(basis, eigvals, max_rank, eig_floor):
+def reference_truncate(basis, eigvals, max_rank):
     """Boolean-mask the modes above the floor, cap the rank, then flip
     each column so its largest-magnitude entry is positive, out of place."""
-    if eig_floor is None:
-        eig_floor = 1e-10 * max(eigvals[0] if eigvals.size else 0.0, 0.0)
-    keep = eigvals > max(eig_floor, 0.0)
+    keep = eigvals > 1e-10 * max(eigvals[0] if eigvals.size else 0.0, 0.0)
     basis, eigvals = basis[:, keep][:, :max_rank], eigvals[keep][:max_rank]
     if basis.size:
         idx = np.argmax(np.abs(basis), axis=0)
@@ -154,13 +152,13 @@ def reference_truncate(basis, eigvals, max_rank, eig_floor):
     return basis, eigvals
 
 
-def reference_dense(cov, max_rank=None, eig_floor=None):
+def reference_dense(cov, max_rank=None):
     eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
     order = np.argsort(eigvals)[::-1]
-    return reference_truncate(eigvecs[:, order], eigvals[order], max_rank, eig_floor)
+    return reference_truncate(eigvecs[:, order], eigvals[order], max_rank)
 
 
-def reference_gram(data, max_rank=None, eig_floor=None):
+def reference_gram(data, max_rank=None):
     n = data.shape[0]
     centered = data - data.mean(axis=0)
     gram = centered @ centered.T / n
@@ -169,7 +167,7 @@ def reference_gram(data, max_rank=None, eig_floor=None):
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     pos = eigvals > 0
     basis = centered.T @ eigvecs[:, pos] / np.sqrt(n * eigvals[pos])
-    return reference_truncate(basis, eigvals[pos], max_rank, eig_floor)
+    return reference_truncate(basis, eigvals[pos], max_rank)
 
 
 def assert_same_bits(spec, basis, eigvals):
@@ -178,38 +176,38 @@ def assert_same_bits(spec, basis, eigvals):
     assert spec.eigenvalues.tobytes() == eigvals.tobytes()
 
 
-RANK_AND_FLOOR = [(None, None), (5, None), (None, 0.5), (0, None)]
+RANKS = [None, 5, 0]
 
 
 class TestLeanFit:
     """The fit keeps the bits of the formulas that held extra copies."""
 
-    @pytest.mark.parametrize("max_rank, eig_floor", RANK_AND_FLOOR)
-    def test_dense_route_bitwise(self, multi_chunk_data, max_rank, eig_floor):
+    @pytest.mark.parametrize("max_rank", RANKS)
+    def test_dense_route_bitwise(self, multi_chunk_data, max_rank):
         for data in (multi_chunk_data, multi_chunk_data[:500, :30]):
             mean, cov = estimate_moments(PointCloud(data))
             mean_ref, cov_ref = reference_moments(data)
             assert mean.tobytes() == mean_ref.tobytes()
             assert cov.tobytes() == cov_ref.tobytes()
-            spec = spectrum_from_cloud(PointCloud(data), max_rank, eig_floor)
-            assert_same_bits(spec, *reference_dense(cov_ref, max_rank, eig_floor))
+            spec = spectrum_from_cloud(PointCloud(data), max_rank)
+            assert_same_bits(spec, *reference_dense(cov_ref, max_rank))
 
-    @pytest.mark.parametrize("max_rank, eig_floor", RANK_AND_FLOOR)
-    def test_gram_route_bitwise(self, max_rank, eig_floor):
+    @pytest.mark.parametrize("max_rank", RANKS)
+    def test_gram_route_bitwise(self, max_rank):
         rng = np.random.default_rng(21)
         data = rng.standard_normal((60, 200)) * np.linspace(3.0, 0.01, 200) + 1.0
-        spec = spectrum_from_cloud(PointCloud(data), max_rank, eig_floor)
-        assert_same_bits(spec, *reference_gram(data, max_rank, eig_floor))
+        spec = spectrum_from_cloud(PointCloud(data), max_rank)
+        assert_same_bits(spec, *reference_gram(data, max_rank))
 
-    @pytest.mark.parametrize("max_rank, eig_floor", RANK_AND_FLOOR)
-    def test_nearly_symmetric_covariance_bitwise(self, max_rank, eig_floor):
+    @pytest.mark.parametrize("max_rank", RANKS)
+    def test_nearly_symmetric_covariance_bitwise(self, max_rank):
         rng = np.random.default_rng(22)
         a = rng.standard_normal((40, 12))
         cov = a.T @ a / 40
         cov[0, 5] += 1e-9 * np.max(np.abs(cov))  # inside the 1e-8 tolerance
         assert not np.array_equal(cov, cov.T)
-        spec = compact_spectrum(np.zeros(12), cov, max_rank, eig_floor)
-        assert_same_bits(spec, *reference_dense(cov, max_rank, eig_floor))
+        spec = compact_spectrum(np.zeros(12), cov, max_rank)
+        assert_same_bits(spec, *reference_dense(cov, max_rank))
 
     def test_gram_route_peak_memory(self):
         cloud = PointCloud(np.random.default_rng(23).standard_normal((500, 4000)))
@@ -226,7 +224,7 @@ class TestLeanFit:
 
 class TestCompactSpectrum:
     def test_diagonal(self):
-        spec = compact_spectrum(np.zeros(2), np.diag([3.0, 0.0]), max_rank=2, eig_floor=1e-12)
+        spec = compact_spectrum(np.zeros(2), np.diag([3.0, 0.0]), max_rank=2)
         assert spec.rank == 1
         np.testing.assert_allclose(spec.eigenvalues, [3.0])
         np.testing.assert_allclose(np.abs(spec.basis[:, 0]), [1.0, 0.0], atol=1e-14)
