@@ -9,10 +9,10 @@ registers in the final sample. High-variance features commit first.
 
 import numpy as np
 
-from scorefield import analytical_curves, critical_times, vp_schedule
+from scorefield import VpSchedule, analytical_curves, critical_times
 from scorefield.solution import perturbation_gain
 
-schedule = vp_schedule(0.1, 20.0)
+schedule = VpSchedule(0.1, 20.0)
 lambdas = [0.04, 1.0, 25.0]
 t = np.linspace(0.0, 1.0, 2001)
 

@@ -12,13 +12,13 @@ import numpy as np
 from scorefield import (
     GaussianModel,
     SolutionContext,
+    VpSchedule,
     endpoint,
     perturbation_shift,
     rk4_sample,
     rotation_decompose,
     solve_state,
     solve_state_vp,
-    vp_schedule,
 )
 from scorefield.samplers import Trajectory
 from scorefield.spectrum import CompactSpectrum
@@ -52,7 +52,7 @@ pert = rk4_sample(model, sigma_p, 1e-6, 1500, x_p + 0.1 * off / np.linalg.norm(o
 print(f"  off-manifold nudge: measured shift {np.linalg.norm(pert - base):.2e} (denoised away)")
 
 # --- rotation picture, VP parameterization --------------------------------
-schedule = vp_schedule(0.1, 20.0)
+schedule = VpSchedule(0.1, 20.0)
 d = 256
 u, _ = np.linalg.qr(rng.standard_normal((d, 4)))
 spec = CompactSpectrum(np.zeros(d), u, np.array([3.0, 1.5, 0.7, 0.3]))

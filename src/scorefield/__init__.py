@@ -57,7 +57,6 @@ from .schedules import (
     VpSchedule,
     convert_notation,
     karras_grid,
-    vp_schedule,
 )
 from .solution import (
     SolutionContext,

@@ -156,7 +156,8 @@ def analytical_curves(schedule: NoiseSchedule, lambdas, t_grid) -> CurveTable:
     """Evaluate psi_bar, xi_bar / sqrt(lambda), its derivative (central
     differences on the grid), and the perturbation gain, anchored at the
     schedule horizon T. Every lambda must be finite and > 0, as the
-    eigenvalues of a compact spectrum are."""
+    eigenvalues of a compact spectrum are; a curve value that is not finite
+    raises NumericalBlowup naming the first such t."""
     t = np.asarray(t_grid, dtype=np.float64)
     if t.ndim != 1 or t.size < 3:
         raise InvalidInput("t_grid must be 1-D with at least 3 points")
@@ -164,19 +165,24 @@ def analytical_curves(schedule: NoiseSchedule, lambdas, t_grid) -> CurveTable:
     for lam in lambdas:
         if not 0 < lam < np.inf:  # also rejects NaN
             raise InvalidInput(f"lambda must be finite and > 0, got {lam:g}")
-    alpha = np.asarray(schedule.alpha(t), dtype=np.float64)
-    sigma = np.asarray(schedule.sigma(t), dtype=np.float64)
-    alpha_T = float(schedule.alpha(schedule.T))
-    sigma_T = float(schedule.sigma(schedule.T))
+    with np.errstate(all="ignore"):  # a non-finite value is reported below
+        alpha = np.asarray(schedule.alpha(t), dtype=np.float64)
+        sigma = np.asarray(schedule.sigma(t), dtype=np.float64)
+        alpha_T = np.float64(schedule.alpha(schedule.T))
+        sigma_T = np.float64(schedule.sigma(schedule.T))  # its square overflows to inf
 
-    psi_rows = np.empty((lambdas.size, t.size))
-    xi_rows = np.empty_like(psi_rows)
-    gain_rows = np.empty_like(psi_rows)
-    for i, lam in enumerate(lambdas):
-        psi_rows[i] = psi_vp(alpha, sigma, alpha_T, sigma_T, lam)
-        xi_rows[i] = xi_vp(alpha, sigma, alpha_T, sigma_T, lam) / np.sqrt(lam)
-        gain_rows[i] = perturbation_gain(lam, alpha, sigma)
-    dxi = np.gradient(xi_rows, t, axis=1)
+        psi_rows = np.empty((lambdas.size, t.size))
+        xi_rows = np.empty_like(psi_rows)
+        gain_rows = np.empty_like(psi_rows)
+        for i, lam in enumerate(lambdas):
+            psi_rows[i] = psi_vp(alpha, sigma, alpha_T, sigma_T, lam)
+            xi_rows[i] = xi_vp(alpha, sigma, alpha_T, sigma_T, lam) / np.sqrt(lam)
+            gain_rows[i] = perturbation_gain(lam, alpha, sigma)
+        dxi = np.gradient(xi_rows, t, axis=1)
+    values = np.vstack([t, alpha, sigma, psi_rows, xi_rows, dxi, gain_rows])
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        raise NumericalBlowup(f"analytical curves are not finite at t = {t[np.argmin(finite)]:g}")
     return CurveTable(t, alpha, sigma, lambdas, psi_rows, xi_rows, dxi, gain_rows)
 
 

@@ -275,6 +275,8 @@ def cmd_curves(args) -> None:
 def cmd_bimodal(args) -> None:
     _require(args, "sigmas", "out")
     sigmas = np.asarray(args.sigmas)
+    if not np.isfinite(sigmas).all():  # with no --dims, nothing else reads them
+        raise InvalidInput(f"--sigmas must be finite, got {sigmas[~np.isfinite(sigmas)][0]}")
     curves = [bimodal_error_curve(args.m, args.q, d, sigmas, args.n_quad) for d in args.dims]
     _save_table(args.out, np.column_stack([sigmas, *curves]),
                 ",".join(["sigma", *(f"E_d{d}" for d in args.dims)]))

@@ -32,27 +32,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered records (t, sigma, alpha, state, optional denoised).
+    """Ordered records (t, sigma, alpha, state).
 
-    ``sigma`` is strictly decreasing along the record order. ``denoised``
-    rows are NaN where no denoiser evaluation happened at that level.
-    Metadata carries the sampler name, the exact NFE count, and any skip
-    parameters.
+    ``sigma`` is strictly decreasing along the record order. Metadata
+    carries the sampler name, the exact NFE count, and any skip parameters.
     """
 
     t: np.ndarray
     sigma: np.ndarray
     alpha: np.ndarray
     states: np.ndarray
-    denoised: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("t", "sigma", "alpha"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        for name in ("states", "denoised"):
-            if (value := getattr(self, name)) is not None:
-                object.__setattr__(self, name, np.atleast_2d(np.asarray(value, dtype=np.float64)))
+        states = np.atleast_2d(np.asarray(self.states, dtype=np.float64))
+        object.__setattr__(self, "states", states)
         if self.sigma.size > 1 and np.any(np.diff(self.sigma) >= 0):
             raise InvalidInput("trajectory sigma levels must be strictly decreasing")
 
@@ -80,21 +76,20 @@ class _CountingView:
 
 
 def _integrate(sampler: str, model: ScoreModel, x_start, arg: str, step, sigma: np.ndarray,
-               t=None, alpha=None, keep_denoised: bool = True, **metadata) -> Trajectory:
-    """The loop of every sampler: ``x, den = step(view, x, i)`` moves the
-    state from ``sigma[i]`` to ``sigma[i + 1]``, ``den`` being the denoiser
-    value at ``sigma[i]``. The NFE is the number of calls made through
-    ``view``. ``t`` and ``alpha`` default to ``sigma`` and ones (EDM form).
+               t=None, alpha=None, **metadata) -> Trajectory:
+    """The loop of every sampler: ``x = step(view, x, i)`` moves the state
+    from ``sigma[i]`` to ``sigma[i + 1]``. The NFE is the number of calls
+    made through ``view``. ``t`` and ``alpha`` default to ``sigma`` and ones
+    (EDM form).
     """
     x = np.array(x_start, dtype=np.float64).reshape(-1)
     if x.size != model.dim:
         raise InvalidInput(f"{arg} has length {x.size}, model dimension is {model.dim}")
     view = _CountingView(model)
     states = np.empty((sigma.size, x.size))
-    denoised = np.full_like(states, np.nan)
     states[0] = x
     for i in range(sigma.size - 1):
-        x, denoised[i] = step(view, x, i)
+        x = step(view, x, i)
         if not np.isfinite(x).all():
             raise NumericalBlowup(f"{sampler} produced a non-finite state at step {i}", step=i)
         states[i + 1] = x
@@ -103,7 +98,6 @@ def _integrate(sampler: str, model: ScoreModel, x_start, arg: str, step, sigma: 
         sigma=sigma.copy(),
         alpha=np.ones(sigma.size) if alpha is None else alpha,
         states=states,
-        denoised=denoised if keep_denoised else None,
         metadata={"sampler": sampler, "nfe": view.calls, **metadata},
     )
 
@@ -113,13 +107,12 @@ def _heun_step(levels: np.ndarray):
 
     def step(model, x, i):
         s_cur, s_next = levels[i], levels[i + 1]
-        den = model.denoise(x, s_cur)
-        d_cur = (x - den) / s_cur
+        d_cur = (x - model.denoise(x, s_cur)) / s_cur
         x_next = x + (s_next - s_cur) * d_cur
         if i < levels.size - 2:
             d_next = (x_next - model.denoise(x_next, s_next)) / s_next
             x_next = x + (s_next - s_cur) * 0.5 * (d_cur + d_next)
-        return x_next, den
+        return x_next
 
     return step
 
@@ -178,10 +171,9 @@ def rk4_sample(
             k3 = slope(model, x + 0.5 * h * k2, s0 + 0.5 * h)
             k4 = slope(model, x + h * k3, s0 + h)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return x, np.nan
+        return x
 
-    return _integrate("rk4", model, x_start, "x_start", step, record, keep_denoised=False,
-                      n_sub=n_sub)
+    return _integrate("rk4", model, x_start, "x_start", step, record, n_sub=n_sub)
 
 
 def teleport_sample(
@@ -256,7 +248,7 @@ def ddim_style_sample(
         a_cur, s_cur = alphas[i], sigmas[i]
         a_next, s_next = alphas[i + 1], sigmas[i + 1]
         x0_hat = model.denoise(x / a_cur, s_cur / a_cur)
-        return a_next * x0_hat + s_next * (x - a_cur * x0_hat) / s_cur, x0_hat
+        return a_next * x0_hat + s_next * (x - a_cur * x0_hat) / s_cur
 
     return _integrate("ddim", model, x_T, "x_T", step, sigmas, t=times, alpha=alphas,
                       n_step=n_step)

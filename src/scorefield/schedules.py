@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidData, InvalidInput, UnsupportedFramework
-from .spectrum import _load_table
+from .spectrum import _built_from, _load_table
 
 __all__ = [
     "NoiseGrid",
@@ -27,12 +27,20 @@ __all__ = [
     "EdmSchedule",
     "VpSchedule",
     "TableSchedule",
-    "vp_schedule",
     "convert_notation",
-    "schedule_from_config",
     "parse_grid_spec",
     "parse_schedule_spec",
 ]
+
+
+def _require_finite(**fields) -> None:
+    """Each named value, a number or every entry of an array, must be finite."""
+    for name, value in fields.items():
+        entries = np.asarray(value, dtype=np.float64).reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(entries))
+        if bad.size:
+            where = f" at index {bad[0]}" if np.ndim(value) else ""
+            raise InvalidInput(f"{name} must be finite, got {entries[bad[0]]}{where}")
 
 
 @dataclass(frozen=True)
@@ -72,9 +80,7 @@ def karras_grid(sigma_min: float, sigma_max: float, rho: float = 7.0, n_step: in
     - sigma_max^(1/rho)))^rho`` for i = 0 .. n_step-1; endpoints land exactly
     on sigma_max and sigma_min.
     """
-    for name, value in (("sigma_min", sigma_min), ("sigma_max", sigma_max), ("rho", rho)):
-        if not np.isfinite(value):
-            raise InvalidInput(f"{name} must be finite, got {value}")
+    _require_finite(sigma_min=sigma_min, sigma_max=sigma_max, rho=rho)
     if not (0 < sigma_min < sigma_max):
         raise InvalidInput(f"need 0 < sigma_min < sigma_max, got ({sigma_min}, {sigma_max})")
     if rho <= 0:
@@ -101,17 +107,18 @@ class NoiseSchedule:
     def sigma(self, t):
         raise NotImplementedError
 
-    def __call__(self, t):
-        return self.alpha(t), self.sigma(t)
-
 
 @dataclass(frozen=True)
 class EdmSchedule(NoiseSchedule):
-    """sigma_t = t, alpha = 1; T equals sigma_max."""
+    """sigma_t = t, alpha = 1; T equals sigma_max. The smallest noise level
+    belongs to the sampling grid, not to the schedule."""
 
-    sigma_min: float = 0.002
     sigma_max: float = 80.0
-    kind = "edm"
+
+    def __post_init__(self):
+        _require_finite(sigma_max=self.sigma_max)
+        if self.sigma_max <= 0:
+            raise InvalidInput(f"sigma_max must be > 0, got {self.sigma_max}")
 
     @property
     def T(self) -> float:
@@ -135,9 +142,9 @@ class VpSchedule(NoiseSchedule):
     beta_min: float = 0.1
     beta_max: float = 20.0
     horizon: float = 1.0
-    kind = "vp"
 
     def __post_init__(self):
+        _require_finite(beta_min=self.beta_min, beta_max=self.beta_max, horizon=self.horizon)
         if not (0 < self.beta_min <= self.beta_max):
             raise InvalidInput(
                 f"need 0 < beta_min <= beta_max, got ({self.beta_min}, {self.beta_max})"
@@ -166,7 +173,6 @@ class TableSchedule(NoiseSchedule):
     t_table: np.ndarray
     alpha_table: np.ndarray
     sigma_table: np.ndarray
-    kind = "table"
 
     def __post_init__(self):
         t = np.asarray(self.t_table, dtype=np.float64)
@@ -174,6 +180,7 @@ class TableSchedule(NoiseSchedule):
         s = np.asarray(self.sigma_table, dtype=np.float64)
         if not (t.shape == a.shape == s.shape) or t.ndim != 1 or t.size < 2:
             raise InvalidData("table schedule needs matching 1-D t/alpha/sigma columns")
+        _require_finite(t_table=t, alpha_table=a, sigma_table=s)
         if np.any(np.diff(t) <= 0):
             raise InvalidData("table times must be strictly increasing")
         if np.any(np.diff(a) > 0) or np.any(np.diff(s) < 0):
@@ -194,17 +201,12 @@ class TableSchedule(NoiseSchedule):
         return np.interp(t, self.t_table, self.sigma_table)
 
 
-def vp_schedule(beta_min: float, beta_max: float, T: float = 1.0) -> VpSchedule:
-    """Linear-beta VP schedule over [0, T]."""
-    return VpSchedule(beta_min, beta_max, T)
-
-
 def convert_notation(framework: str, params: dict) -> NoiseSchedule:
     """Map a foreign parameterization onto the canonical (alpha_t, sigma_t) pair.
 
     Supported frameworks:
 
-    * ``"EDM"``: params {sigma_min, sigma_max}; alpha = 1, sigma_t = t.
+    * ``"EDM"``: params {sigma_max}; alpha = 1, sigma_t = t.
     * ``"EDM-with-scaling"``: params {scale, sigma} as callables s(t), sigma(t)
       plus {T}; alpha_t = s(t), sigma_t = s(t) sigma(t), tabulated at
       2049 evenly spaced times in [0, T].
@@ -213,8 +215,11 @@ def convert_notation(framework: str, params: dict) -> NoiseSchedule:
       alpha_t = sqrt(alpha_bar_t), sigma_t = sqrt(1 - alpha_bar_t).
     """
     key = framework.strip().lower().replace("_", "-")
-    if key in ("edm", "vp"):
-        return schedule_from_config({**params, "kind": key})
+    if key == "edm":
+        return EdmSchedule(float(params.get("sigma_max", 80.0)))
+    if key == "vp":
+        return VpSchedule(float(params["beta_min"]), float(params["beta_max"]),
+                          float(params.get("T", 1.0)))
     if key == "edm-with-scaling":
         scale = params["scale"]
         sigma = params["sigma"]
@@ -232,23 +237,8 @@ def convert_notation(framework: str, params: dict) -> NoiseSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Config parsing (JSON objects and compact spec strings)
+# Compact spec strings
 # ---------------------------------------------------------------------------
-
-def schedule_from_config(cfg: dict) -> NoiseSchedule:
-    """Schedule from {kind: "edm"|"vp"|"table", ...} config JSON."""
-    kind = cfg["kind"].lower()
-    if kind == "edm":
-        return EdmSchedule(float(cfg.get("sigma_min", 0.002)), float(cfg.get("sigma_max", 80.0)))
-    if kind == "vp":
-        return VpSchedule(float(cfg["beta_min"]), float(cfg["beta_max"]), float(cfg.get("T", 1.0)))
-    if kind == "table":
-        table = _load_table(cfg["path"])
-        if table.shape[1] != 3:
-            raise InvalidData(f"{cfg['path']}: table schedule needs columns t, alpha, sigma")
-        return TableSchedule(table[:, 0], table[:, 1], table[:, 2])
-    raise UnsupportedFramework(f"unknown schedule kind {kind!r}")
-
 
 def parse_grid_spec(spec: str) -> NoiseGrid:
     """Grid from the compact string "sigma_min:sigma_max:rho:n"."""
@@ -259,8 +249,8 @@ def parse_grid_spec(spec: str) -> NoiseGrid:
 
 
 def parse_schedule_spec(spec: str) -> NoiseSchedule:
-    """Schedule from "vp:beta_min:beta_max[:T]", "edm:sigma_min:sigma_max",
-    or "table:path"."""
+    """Schedule from "vp:beta_min:beta_max[:T]", "edm:sigma_max", or
+    "table:path" (headerless CSV rows t, alpha, sigma; errors name the path)."""
     parts = spec.split(":")
     kind = parts[0].lower()
     if kind == "vp":
@@ -269,10 +259,13 @@ def parse_schedule_spec(spec: str) -> NoiseSchedule:
         horizon = float(parts[3]) if len(parts) == 4 else 1.0
         return VpSchedule(float(parts[1]), float(parts[2]), horizon)
     if kind == "edm":
-        if len(parts) != 3:
-            raise InvalidInput(f"edm spec must be 'edm:sigma_min:sigma_max', got {spec!r}")
-        return EdmSchedule(float(parts[1]), float(parts[2]))
+        if len(parts) != 2:
+            raise InvalidInput(f"edm spec must be 'edm:sigma_max', got {spec!r}")
+        return EdmSchedule(float(parts[1]))
     if kind == "table":
-        return schedule_from_config({"kind": "table", "path": spec.split(":", 1)[1]})
+        path = spec.split(":", 1)[1]
+        table = _load_table(path)
+        if table.shape[1] != 3:
+            raise InvalidData(f"{path}: table schedule needs columns t, alpha, sigma")
+        return _built_from(path, TableSchedule, table[:, 0], table[:, 1], table[:, 2])
     raise UnsupportedFramework(f"unknown schedule kind {kind!r}")
-

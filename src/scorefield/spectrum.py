@@ -373,22 +373,29 @@ def _load_table(path, skiprows: int = 0) -> np.ndarray:
     return table
 
 
-def _file_cloud(path, data, labels=None) -> PointCloud:
-    """``PointCloud(data, labels)`` of a file's content; its errors name ``path``."""
+def _built_from(path, build, *content):
+    """``build(*content)`` of a file's content; its errors name ``path``."""
     try:
-        return PointCloud(data, labels)
+        return build(*content)
     except ScoreFieldError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_cloud_csv(path, with_labels: bool = False) -> PointCloud:
-    """Read a CSV cloud; ``with_labels`` selects a final integer label column."""
+    """Read a CSV cloud; ``with_labels`` selects a final label column, whose
+    entries must be integers in the int32 range that PCLD1 files hold."""
     raw = _load_table(path)
     if with_labels:
         if raw.shape[1] < 2:
             raise InvalidData(f"{path}: expected a label column but found only one column")
-        return _file_cloud(path, raw[:, :-1], raw[:, -1].astype(np.int64))
-    return _file_cloud(path, raw)
+        labels = raw[:, -1]
+        fits = (-(2**31) <= labels) & (labels < 2**31) & (labels == np.round(labels))
+        bad = np.flatnonzero(~fits)
+        if bad.size:
+            raise InvalidData(f"{path}: row {bad[0] + 1} has label {labels[bad[0]]}, "
+                              "not an int32 integer")
+        return _built_from(path, PointCloud, raw[:, :-1], labels.astype(np.int64))
+    return _built_from(path, PointCloud, raw)
 
 
 def save_cloud_binary(cloud: PointCloud, path) -> None:
@@ -436,7 +443,7 @@ def load_cloud_binary(path) -> PointCloud:
         labels = _read_payload(f, path, n, "<i4") if has_labels else None
         if f.read(1):
             raise InvalidData(f"{path}: bytes follow the {expected} that its header gives")
-    return _file_cloud(path, data, labels)
+    return _built_from(path, PointCloud, data, labels)
 
 
 def save_cloud(cloud: PointCloud, path, with_labels: bool = False) -> None:

@@ -14,7 +14,7 @@ from scorefield.analysis import (
 from scorefield.errors import DegeneratePlane, GridMismatch, InvalidInput, NumericalBlowup
 from scorefield.models import DeltaMixtureModel, GaussianModel, ScoreModel
 from scorefield.samplers import Trajectory, heun_sample, rk4_sample
-from scorefield.schedules import VpSchedule, karras_grid
+from scorefield.schedules import EdmSchedule, VpSchedule, karras_grid
 from scorefield.solution import SolutionContext, solve_state
 from scorefield.spectrum import CompactSpectrum, PointCloud, spectrum_from_cloud
 
@@ -167,6 +167,13 @@ class TestAnalyticalCurves:
         for row in table.psi:
             diffs = np.diff(row)
             assert np.all(diffs <= 1e-12) or np.all(diffs >= -1e-12)
+
+    def test_non_finite_value_names_its_t(self):
+        # sigma_T^2 overflows, so psi at t = 2.5e199 reads inf / inf
+        t = np.linspace(0.0, 1e200, 5)
+        with pytest.raises(NumericalBlowup, match="^analytical curves are not finite at t = 2.5e"
+                                                  r"\+199$"):
+            analytical_curves(EdmSchedule(1e200), [1.0], t)
 
     def test_critical_times_ordered_and_located(self):
         schedule = VpSchedule(0.1, 20.0)

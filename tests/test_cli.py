@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -368,6 +370,28 @@ class TestCurves:
         assert f"lambda must be finite and > 0, got {lam}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("spec, message", [
+        ("vp:0.1:inf", "beta_max must be finite, got inf"),
+        ("vp:0.1:20:inf", "horizon must be finite, got inf"),
+        ("vp:0.1:20:nan", "horizon must be finite, got nan"),
+        ("edm:inf", "sigma_max must be finite, got inf"),
+        ("edm:-5", "sigma_max must be > 0, got -5.0"),
+        ("edm:0.002:80", "edm spec must be 'edm:sigma_max', got 'edm:0.002:80'"),
+        ("edm:1e200", "analytical curves are not finite at t = "),
+        ("table", "sigma_table must be finite, got inf at index 1"),
+    ])
+    def test_bad_schedule_exit_1(self, tmp_path, capsys, spec, message):
+        if spec == "table":
+            table = tmp_path / "table.csv"
+            table.write_text("0,1,0\n0.5,0.6,inf\n1,0,1\n")
+            spec, message = f"table:{table}", f"{table}: {message}"
+        out = tmp_path / "curves.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["curves", "--schedule", spec, "--n-t", "11", "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.glob("curves*")) == []
+
 
 class TestBimodal:
     def test_curve_output(self, tmp_path):
@@ -382,6 +406,14 @@ class TestBimodal:
         out = tmp_path / "bimodal.csv"
         assert run(["bimodal", "--dims", ",", "--sigmas", "2,4", "--out", str(out)]) == 0
         assert out.read_text() == "sigma\n2\n4\n"
+
+    @pytest.mark.parametrize("dims", ["1", ","])
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exit_1(self, tmp_path, capsys, dims, sigma):
+        out = tmp_path / "bimodal.csv"
+        assert run(["bimodal", "--dims", dims, "--sigmas", f"2,{sigma}", "--out", str(out)]) == 1
+        assert f"--sigmas must be finite, got {sigma}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSidecar:
@@ -629,6 +661,26 @@ class TestErrors:
         assert not out.exists()
 
 
+class TestReadme:
+    """Every command of README's Command line block parses as written."""
+
+    def _commands(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        return [shlex.split(line)[1:] for line in lines if line.startswith("scorefield ")]
+
+    def test_commands_parse(self):
+        commands = self._commands()
+        assert len(commands) >= len(cli.build_parser()._subparsers._group_actions[0].choices)
+        for argv in commands:
+            args = cli.build_parser().parse_args(argv)
+            if "--grid" in argv:
+                parse_grid_spec(args.grid)
+            if "--schedule" in argv:
+                parse_schedule_spec(args.schedule)
+
+
 def run_python(args, cwd):
     """Run ``python <args>`` in a fresh interpreter that imports this scorefield."""
     src = str(Path(scorefield.__file__).resolve().parent.parent)
@@ -681,7 +733,8 @@ def _fuzz_inputs(root: Path) -> dict:
     clouds.append(str(root / "labelled.csv"))
     t = np.linspace(0.0, 1.0, 6)
     tables = {"good": "".join(f"{a:.17g},{np.cos(a):.17g},{np.sin(a):.17g}\n" for a in t),
-              "cell": "0,1,0\n1,0.5,a\n", "cols": "0,1\n1,0.5\n", "back": "1,0.5,0.8\n0,1,0\n"}
+              "cell": "0,1,0\n1,0.5,a\n", "cols": "0,1\n1,0.5\n", "back": "1,0.5,0.8\n0,1,0\n",
+              "inf": "0,1,0\n0.5,0.6,inf\n1,0,1\n"}
     spectrum = {"mean": [0.0, 0.0], "basis": [[1.0], [0.0]], "eigenvalues": [1.0]}
     model_texts = ["[1,2]", '"x"', "null", "{not json", '{"kind":"mixture","components":5}',
                    '{"kind":"mixture","components":[1]}', '{"kind":"delta","cloud_path":5}',
@@ -703,7 +756,8 @@ def _fuzz_inputs(root: Path) -> dict:
         "model": models, "ref": models, "approx": models, "reference": ["delta", *models],
         "models": [",".join(p) for p in zip(models, models[5:] + models[:5])] + models,
         "cloud": clouds, "input": clouds, "anchors": anchors,
-        "schedule": ["vp:0.1:20:1", "edm:0.002:80", "vp:1", "vp:a:b", "edm:1:0.5", "what:1",
+        "schedule": ["vp:0.1:20:1", "edm:80", "vp:1", "vp:a:b", "edm:0.002:80", "edm:1:0.5",
+                     "edm:inf", "edm:-1", "vp:0.1:inf", "vp:0.1:20:nan", "what:1",
                      *(f"table:{put(f'table_{k}.csv', v)}" for k, v in tables.items()),
                      f"table:{clouds[3]}", f"table:{root / 'absent.csv'}"],
         "grid": ["0.1:5:7:4", "0.002:80:7:3", "1:0.5:7:3", "0.1:5:7:1", "a:b:c:d", "0.1:5:7",
@@ -725,7 +779,8 @@ def _fuzz_inputs(root: Path) -> dict:
 class TestFuzz:
     """Random argv over every subcommand: a valid command with some options
     replaced by malformed values and files, or left out, and some moved into
-    ``--config``. ``run`` returns 0, 1 or 2 and never raises."""
+    ``--config``. ``run`` returns 0, 1 or 2 and never raises, and a run that
+    returns 0 writes no non-finite number into a CSV file."""
 
     @pytest.fixture(scope="class")
     def pools(self, tmp_path_factory):
@@ -776,14 +831,66 @@ class TestFuzz:
                 config.write_text(data.draw(st.sampled_from(
                     [json.dumps(cfg), json.dumps(typed)] * 2 + ["[1]", "{bad", '{"nope": 1}'])))
                 argv += ["--config", str(config)]
+            target = values.get("out", cfg.get("out") if moved else None)
             argv += [f"--{k.replace('_', '-')}={v}" for k, v in values.items()]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()) as err:
-                code = run(argv)
-            assert code in (0, 1, 2), (argv, err.getvalue())
-            assert "Traceback" not in err.getvalue()
+            _run_checked(argv, target)
 
         check()
+
+    @pytest.mark.parametrize("command", ["curves", "sample"])
+    def test_every_schedule(self, pools, command):
+        # the random draws above reach a given schedule and command rarely
+        good = pools["cloud"][0]
+        argv, out = {
+            "curves": (["curves", "--n-t=5"], Path(good).parent / "schedule.csv"),
+            "sample": (["sample", f"--model=gaussian:{good}", "--sampler=ddim", "--steps=3"],
+                       Path(good).parent / "schedule"),
+        }[command]
+        codes = {spec: _run_checked([*argv, f"--schedule={spec}", f"--out={out}"], out)
+                 for spec in pools["schedule"]}
+        assert codes["vp:0.1:20:1"] == codes["edm:80"] == 0
+        assert codes["vp:0.1:inf"] == codes["edm:0.002:80"] == 1
+
+
+def _run_checked(argv, out) -> int:
+    """``run(argv)`` with its output captured. It must return 0, 1 or 2
+    without a traceback, and a run that returns 0 must write no non-finite
+    number into a CSV file at ``out``."""
+    before = _csv_inodes(out)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        for path, inode in _csv_inodes(out).items():
+            if inode != before.get(path):
+                assert not _non_finite_cells(path), (argv, path)
+    return code
+
+
+def _csv_inodes(out) -> dict:
+    """Inode of the CSV file ``out``, or of each CSV file in directory
+    ``out``. Every write replaces its file, so a written file has a new inode."""
+    out = Path(out) if out else None
+    if out is None or not out.exists():
+        return {}
+    paths = sorted(out.glob("*.csv")) if out.is_dir() else [out]
+    return {p: p.stat().st_ino for p in paths if p.suffix == ".csv"}
+
+
+def _non_finite_cells(path: Path) -> list:
+    """Cells of a CSV file that read as a number that is not finite."""
+    bad = []
+    for line in path.read_text().splitlines():
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                bad.append(cell)
+    return bad
 
 
 def _json_value(text: str):

@@ -77,6 +77,14 @@ class TestCloudFiles:
         np.testing.assert_array_equal(back.data, cloud.data)
         np.testing.assert_array_equal(back.labels, cloud.labels)
 
+    @pytest.mark.parametrize("label", ["1.7", "nan", "inf", "3e9"])
+    def test_bad_label_names_path_and_row(self, tmp_path, label):
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"1,2,0\n3,4,{label}\n")
+        message = f"{path}: row 2 has label {float(label)}, not an int32 integer"
+        with pytest.raises(InvalidData, match=f"^{re.escape(message)}$"):
+            load_cloud_csv(path, with_labels=True)
+
     def test_binary_roundtrip(self, tmp_path):
         for labels in (False, True):
             cloud = sample_cloud(labels)
@@ -571,8 +579,7 @@ class TestTrajectoryCsv:
     def _traj(self):
         t = np.array([3.0, 2.0, 1.0])
         states = np.random.default_rng(4).standard_normal((3, 4))
-        den = states * 0.5
-        return Trajectory(t, t, np.ones(3), states, den, {"sampler": "heun", "nfe": 3})
+        return Trajectory(t, t, np.ones(3), states, {"sampler": "heun", "nfe": 3})
 
     def test_roundtrip(self, tmp_path):
         traj = self._traj()

@@ -14,8 +14,6 @@ from scorefield.schedules import (
     karras_grid,
     parse_grid_spec,
     parse_schedule_spec,
-    schedule_from_config,
-    vp_schedule,
 )
 
 
@@ -87,38 +85,38 @@ def test_grid_monotone_endpoints_property(smin, ratio, rho, n):
 
 class TestVpSchedule:
     def test_t0(self):
-        sched = vp_schedule(0.1, 20.0)
+        sched = VpSchedule(0.1, 20.0)
         assert float(sched.alpha(0.0)) == 1.0
         assert float(sched.sigma(0.0)) == 0.0
 
     def test_constant_beta(self):
         b = 0.8
-        sched = vp_schedule(b, b, T=2.0)
+        sched = VpSchedule(b, b, 2.0)
         for t in (0.0, 0.5, 1.3, 2.0):
             np.testing.assert_allclose(sched.alpha(t), np.exp(-b * t / 2.0), rtol=1e-14)
 
     def test_variance_preserved(self):
-        sched = vp_schedule(0.1, 20.0)
+        sched = VpSchedule(0.1, 20.0)
         t = np.linspace(0.0, 1.0, 1000)
         a, s = sched.alpha(t), sched.sigma(t)
         np.testing.assert_allclose(a**2 + s**2, np.ones_like(t), atol=1e-12)
 
     def test_monotonicity(self):
-        sched = vp_schedule(0.1, 20.0)
+        sched = VpSchedule(0.1, 20.0)
         t = np.linspace(0.0, 1.0, 500)
         assert np.all(np.diff(sched.alpha(t)) <= 0)
         assert np.all(np.diff(sched.sigma(t)) >= 0)
 
     def test_invalid_beta(self):
         with pytest.raises(InvalidInput):
-            vp_schedule(-0.1, 20.0)
+            VpSchedule(-0.1, 20.0)
         with pytest.raises(InvalidInput):
-            vp_schedule(2.0, 1.0)
+            VpSchedule(2.0, 1.0)
 
 
 class TestEdmSchedule:
     def test_identity(self):
-        sched = EdmSchedule(0.002, 80.0)
+        sched = EdmSchedule(80.0)
         t = np.linspace(0, 80, 11)
         np.testing.assert_array_equal(sched.sigma(t), t)
         np.testing.assert_array_equal(sched.alpha(t), np.ones(11))
@@ -127,19 +125,19 @@ class TestEdmSchedule:
 
 class TestConvertNotation:
     def test_edm(self):
-        sched = convert_notation("EDM", {"sigma_min": 0.002, "sigma_max": 80.0})
+        sched = convert_notation("EDM", {"sigma_max": 80.0})
         assert float(sched.alpha(3.0)) == 1.0
         assert float(sched.sigma(3.0)) == 3.0
 
     def test_ddpm_discrete(self):
         sched = convert_notation("DDPM-discrete", {"alpha_bar": [1.0, 0.25]})
-        a, s = sched(1)
+        a, s = sched.alpha(1), sched.sigma(1)
         np.testing.assert_allclose(a, 0.5)
         np.testing.assert_allclose(s, np.sqrt(0.75))
 
     def test_vp_roundtrip(self):
         sched = convert_notation("VP", {"beta_min": 0.1, "beta_max": 20.0, "T": 1.0})
-        direct = vp_schedule(0.1, 20.0, 1.0)
+        direct = VpSchedule(0.1, 20.0, 1.0)
         t = np.linspace(0, 1, 50)
         np.testing.assert_allclose(sched.alpha(t), direct.alpha(t), rtol=1e-12)
         np.testing.assert_allclose(sched.sigma(t), direct.sigma(t), rtol=1e-12)
@@ -176,17 +174,15 @@ class TestConfig:
         np.testing.assert_array_equal(grid.levels, karras_grid(0.002, 80.0, 7.0, 18).levels)
 
     def test_schedule_configs(self):
-        edm = schedule_from_config({"kind": "edm", "sigma_min": 0.01, "sigma_max": 10})
-        assert edm.T == 10
-        vp = schedule_from_config({"kind": "vp", "beta_min": 0.1, "beta_max": 20})
-        assert vp.T == 1.0
+        assert parse_schedule_spec("edm:10").T == 10
+        assert parse_schedule_spec("vp:0.1:20").T == 1.0
 
     def test_table_config(self, tmp_path):
         path = tmp_path / "table.csv"
         t = np.linspace(0, 1, 20)
-        ref = vp_schedule(0.1, 20.0)
+        ref = VpSchedule(0.1, 20.0)
         np.savetxt(path, np.column_stack([t, ref.alpha(t), ref.sigma(t)]), delimiter=",")
-        sched = schedule_from_config({"kind": "table", "path": str(path)})
+        sched = parse_schedule_spec(f"table:{path}")
         np.testing.assert_allclose(sched.alpha(t), ref.alpha(t), atol=1e-12)
 
     @pytest.mark.parametrize("content", [b"0,1,0\n1,0.5,a\n", b"\xff\xfe\x00\x01"])
@@ -201,7 +197,46 @@ class TestConfig:
         assert len(grid) == 18 and grid.levels[0] == 80.0
         vp = parse_schedule_spec("vp:0.1:20:1")
         assert isinstance(vp, VpSchedule)
-        edm = parse_schedule_spec("edm:0.002:80")
-        assert isinstance(edm, EdmSchedule)
+        edm = parse_schedule_spec("edm:80")
+        assert isinstance(edm, EdmSchedule) and edm.T == 80.0
         with pytest.raises(InvalidInput):
             parse_grid_spec("1:2:3")
+
+
+class TestScheduleFields:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: EdmSchedule(v), "sigma_max"),
+        (lambda v: VpSchedule(v, 20.0), "beta_min"),
+        (lambda v: VpSchedule(0.1, v), "beta_max"),
+        (lambda v: VpSchedule(0.1, 20.0, v), "horizon"),
+    ], ids=["edm-sigma_max", "vp-beta_min", "vp-beta_max", "vp-horizon"])
+    def test_non_finite_field_named(self, make, field, value):
+        with pytest.raises(InvalidInput, match=f"^{field} must be finite, got {value}$"):
+            make(value)
+
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_edm_sigma_max_positive(self, value):
+        with pytest.raises(InvalidInput, match=f"^sigma_max must be > 0, got {value}$"):
+            EdmSchedule(value)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_non_finite_table_entry_named(self, column):
+        table = np.array([[0.0, 1.0, 0.0], [0.5, 0.6, 0.8], [1.0, 0.0, 1.0]])
+        table[1, column] = np.inf
+        field = ("t_table", "alpha_table", "sigma_table")[column]
+        with pytest.raises(InvalidInput, match=f"^{field} must be finite, got inf at index 1$"):
+            TableSchedule(*table.T)
+
+    def test_table_file_entry_names_its_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("0,1,0\n0.5,0.6,inf\n1,0,1\n")
+        message = f"^{re.escape(str(path))}: sigma_table must be finite, got inf at index 1$"
+        with pytest.raises(InvalidInput, match=message):
+            parse_schedule_spec(f"table:{path}")
+
+    @pytest.mark.parametrize("spec", ["edm:0.002:80", "edm:90:80", "edm"])
+    def test_edm_spec_holds_sigma_max_only(self, spec):
+        message = f"^edm spec must be 'edm:sigma_max', got '{spec}'$"
+        with pytest.raises(InvalidInput, match=message):
+            parse_schedule_spec(spec)

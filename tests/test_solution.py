@@ -247,7 +247,7 @@ def rk4_scaled_reference(spec, schedule, x_T, t_start, t_end, n=4000):
 class TestScaledSolution:
     def test_alpha_one_reduces_to_edm(self):
         spec = random_spectrum(21, 6, 2)
-        schedule = EdmSchedule(0.002, 30.0)
+        schedule = EdmSchedule(30.0)
         rng = np.random.default_rng(7)
         x_T = rng.standard_normal(6) * 30
         ctx = SolutionContext.create(spec, x_T, 30.0, alpha_T=1.0)
