@@ -28,7 +28,6 @@ from .errors import (
     NumericalBlowup,
     ScoreFieldError,
     ShapeError,
-    UnsupportedFramework,
     WrongVariant,
 )
 from .gmmfit import fit_gmm, rank_mode_sweep
@@ -55,7 +54,6 @@ from .schedules import (
     NoiseSchedule,
     TableSchedule,
     VpSchedule,
-    convert_notation,
     karras_grid,
 )
 from .solution import (

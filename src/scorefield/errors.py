@@ -49,10 +49,6 @@ class InvalidSkip(ScoreFieldError):
     """Teleportation skip level outside (sigma_min, sigma_max] or off-grid."""
 
 
-class UnsupportedFramework(ScoreFieldError):
-    """Unknown diffusion-model notation framework."""
-
-
 class NumericalBlowup(ScoreFieldError):
     """A sampler or a score comparison produced a non-finite value."""
 

@@ -1,4 +1,4 @@
-"""Noise/signal schedules, the discrete noise-level grid, and notation maps.
+"""Noise/signal schedules, the discrete noise-level grid, and their spec strings.
 
 Two continuous parameterizations are built in:
 
@@ -8,7 +8,8 @@ Two continuous parameterizations are built in:
   so ``alpha^2 + sigma^2 = 1`` holds exactly by construction.
 
 Arbitrary profiles enter through a tabulated (t, alpha, sigma) schedule with
-monotone (linear) interpolation.
+monotone (linear) interpolation; a DDPM schedule is the table of rows
+(t, sqrt(alpha_bar_t), sqrt(1 - alpha_bar_t)).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidData, InvalidInput, UnsupportedFramework
+from .errors import InvalidData, InvalidInput
 from .spectrum import _built_from, _load_table
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "EdmSchedule",
     "VpSchedule",
     "TableSchedule",
-    "convert_notation",
     "parse_grid_spec",
     "parse_schedule_spec",
 ]
@@ -168,7 +168,9 @@ class VpSchedule(NoiseSchedule):
 
 @dataclass(frozen=True)
 class TableSchedule(NoiseSchedule):
-    """Tabulated (t, alpha, sigma) with linear interpolation between rows."""
+    """Tabulated (t, alpha, sigma) with linear interpolation between rows.
+
+    Every row needs alpha >= 0 and sigma >= 0, not both 0."""
 
     t_table: np.ndarray
     alpha_table: np.ndarray
@@ -181,6 +183,13 @@ class TableSchedule(NoiseSchedule):
         if not (t.shape == a.shape == s.shape) or t.ndim != 1 or t.size < 2:
             raise InvalidData("table schedule needs matching 1-D t/alpha/sigma columns")
         _require_finite(t_table=t, alpha_table=a, sigma_table=s)
+        for name, arr in (("alpha_table", a), ("sigma_table", s)):
+            bad = np.flatnonzero(arr < 0)
+            if bad.size:
+                raise InvalidData(f"{name} must be >= 0, got {arr[bad[0]]} at index {bad[0]}")
+        both = np.flatnonzero((a == 0) & (s == 0))
+        if both.size:
+            raise InvalidData(f"alpha_table and sigma_table are both 0 at index {both[0]}")
         if np.any(np.diff(t) <= 0):
             raise InvalidData("table times must be strictly increasing")
         if np.any(np.diff(a) > 0) or np.any(np.diff(s) < 0):
@@ -199,41 +208,6 @@ class TableSchedule(NoiseSchedule):
 
     def sigma(self, t):
         return np.interp(t, self.t_table, self.sigma_table)
-
-
-def convert_notation(framework: str, params: dict) -> NoiseSchedule:
-    """Map a foreign parameterization onto the canonical (alpha_t, sigma_t) pair.
-
-    Supported frameworks:
-
-    * ``"EDM"``: params {sigma_max}; alpha = 1, sigma_t = t.
-    * ``"EDM-with-scaling"``: params {scale, sigma} as callables s(t), sigma(t)
-      plus {T}; alpha_t = s(t), sigma_t = s(t) sigma(t), tabulated at
-      2049 evenly spaced times in [0, T].
-    * ``"VP"``: params {beta_min, beta_max, T}; returns the VP schedule itself.
-    * ``"DDPM-discrete"``: params {alpha_bar}; step index t maps to
-      alpha_t = sqrt(alpha_bar_t), sigma_t = sqrt(1 - alpha_bar_t).
-    """
-    key = framework.strip().lower().replace("_", "-")
-    if key == "edm":
-        return EdmSchedule(float(params.get("sigma_max", 80.0)))
-    if key == "vp":
-        return VpSchedule(float(params["beta_min"]), float(params["beta_max"]),
-                          float(params.get("T", 1.0)))
-    if key == "edm-with-scaling":
-        scale = params["scale"]
-        sigma = params["sigma"]
-        t = np.linspace(0.0, float(params["T"]), 2049)
-        s_t = np.asarray([float(scale(v)) for v in t])
-        sig_t = np.asarray([float(sigma(v)) for v in t])
-        return TableSchedule(t, s_t, s_t * sig_t)
-    if key == "ddpm-discrete":
-        alpha_bar = np.asarray(params["alpha_bar"], dtype=np.float64)
-        if np.any(alpha_bar <= 0) or np.any(alpha_bar > 1):
-            raise InvalidData("alpha_bar entries must lie in (0, 1]")
-        t = np.arange(alpha_bar.size, dtype=np.float64)
-        return TableSchedule(t, np.sqrt(alpha_bar), np.sqrt(1.0 - alpha_bar))
-    raise UnsupportedFramework(f"unknown framework {framework!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,4 +242,4 @@ def parse_schedule_spec(spec: str) -> NoiseSchedule:
         if table.shape[1] != 3:
             raise InvalidData(f"{path}: table schedule needs columns t, alpha, sigma")
         return _built_from(path, TableSchedule, table[:, 0], table[:, 1], table[:, 2])
-    raise UnsupportedFramework(f"unknown schedule kind {kind!r}")
+    raise InvalidInput(f"unknown schedule kind {kind!r}, expected vp, edm or table")

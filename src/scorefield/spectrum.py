@@ -61,7 +61,8 @@ class PointCloud:
     data : array_like, shape (N, D)
         One sample per row. Must be finite, N >= 1 and D >= 1.
     labels : array_like of int, shape (N,), optional
-        Per-sample class labels.
+        Per-sample class labels, each an integer in the int32 range that
+        PCLD1 files hold.
     """
 
     data: np.ndarray
@@ -83,6 +84,11 @@ class PointCloud:
                 raise ShapeError(
                     f"labels must have shape ({data.shape[0]},), got {labels.shape}"
                 )
+            bad = np.flatnonzero(~((-(2**31) <= labels) & (labels < 2**31)
+                                   & (labels == np.round(labels))))
+            if bad.size:
+                raise InvalidData(f"row {bad[0] + 1} has label {labels[bad[0]]}, "
+                                  "not an int32 integer")
             object.__setattr__(self, "labels", _frozen_array(labels, dtype=np.int64))
 
     @property
@@ -382,19 +388,12 @@ def _built_from(path, build, *content):
 
 
 def load_cloud_csv(path, with_labels: bool = False) -> PointCloud:
-    """Read a CSV cloud; ``with_labels`` selects a final label column, whose
-    entries must be integers in the int32 range that PCLD1 files hold."""
+    """Read a CSV cloud; ``with_labels`` selects a final label column."""
     raw = _load_table(path)
     if with_labels:
         if raw.shape[1] < 2:
             raise InvalidData(f"{path}: expected a label column but found only one column")
-        labels = raw[:, -1]
-        fits = (-(2**31) <= labels) & (labels < 2**31) & (labels == np.round(labels))
-        bad = np.flatnonzero(~fits)
-        if bad.size:
-            raise InvalidData(f"{path}: row {bad[0] + 1} has label {labels[bad[0]]}, "
-                              "not an int32 integer")
-        return _built_from(path, PointCloud, raw[:, :-1], labels.astype(np.int64))
+        return _built_from(path, PointCloud, raw[:, :-1], raw[:, -1])
     return _built_from(path, PointCloud, raw)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorefield.analysis import (
     analytical_curves,
@@ -12,11 +14,13 @@ from scorefield.analysis import (
     unexplained_variance,
 )
 from scorefield.errors import DegeneratePlane, GridMismatch, InvalidInput, NumericalBlowup
-from scorefield.models import DeltaMixtureModel, GaussianModel, ScoreModel
+from scorefield.gmmfit import gmm_from_assignments, minibatch_kmeans_full
+from scorefield.models import DeltaMixtureModel, GaussianModel, IsotropicModel, ScoreModel
 from scorefield.samplers import Trajectory, heun_sample, rk4_sample
 from scorefield.schedules import EdmSchedule, VpSchedule, karras_grid
 from scorefield.solution import SolutionContext, solve_state
 from scorefield.spectrum import CompactSpectrum, PointCloud, spectrum_from_cloud
+from scorefield.synthetic import gaussian_cloud, gmm_cloud
 
 
 class FieldStub(ScoreModel):
@@ -99,6 +103,27 @@ class TestUnexplainedVariance:
         uv2 = unexplained_variance(ref, approx, 2 * np.sqrt(tr), 128, seed=0).mean
         uv20 = unexplained_variance(ref, approx, 20 * np.sqrt(tr), 128, seed=0).mean
         assert uv20 < uv2 / 10.0
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(make=st.sampled_from([gmm_cloud, gaussian_cloud]), n=st.integers(60, 300),
+       d=st.integers(2, 12), seed=st.integers(0, 2**16))
+def test_far_field_law_every_variant(make, n, d, seed):
+    # Far above the cloud's spread every variant's score is the Gaussian's:
+    # UV < 1e-3 at 10 sqrt(tr Sigma), and it falls >= 10x from 2 to 20 sqrt(tr Sigma).
+    cloud = make(n, d, seed=seed)
+    gauss = GaussianModel.from_cloud(cloud)
+    root_tr = np.sqrt(gauss.spectrum.total_variance)
+    models = {"delta": DeltaMixtureModel(cloud), "isotropic": IsotropicModel(gauss.spectrum.mean)}
+    for k in (1, 2, 3):  # fit_gmm's two steps, with one k-means per K
+        assignments = minibatch_kmeans_full(cloud, k, seed=seed).assignments
+        for rank in (0, 1, None):
+            models[f"mixture k={k} rank={rank}"] = gmm_from_assignments(cloud, assignments, rank)
+    for name, model in models.items():
+        uv = {c: unexplained_variance(model, gauss, c * root_tr, 64, seed=seed).mean
+              for c in (2.0, 10.0, 20.0)}
+        assert uv[10.0] < 1e-3, (name, uv)
+        assert uv[20.0] * 10.0 <= uv[2.0], (name, uv)
 
 
 class TestTrajectoryDeviation:

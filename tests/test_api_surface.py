@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,3 +72,51 @@ def test_no_unused_imports():
     files = [f for d in ("src/scorefield", "tests", "demos") for f in sorted((ROOT / d).glob("*.py"))]
     assert len(files) >= 30
     assert [u for f in files for u in unused_imports(f)] == []
+
+
+# Public names with no caller in src/, demos/, perfbench/ or README's python
+# blocks, each kept for a reason.
+UNCALLED_KEPT = {
+    "xi": "the paper's xi formula beside psi, audited and kept",
+    "rotation_correction": "the paper's rotation formula, audited and kept",
+    "trajectory_deviation": "the skip-budget study in ROADMAP reads it",
+    "load_trajectory_csv": "the reader of the trajectory format README documents",
+}
+
+
+def _reads(node) -> set[str]:
+    """Every name and attribute a syntax tree reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def _readme_python() -> list[ast.Module]:
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return [ast.parse(block) for block in blocks]
+
+
+def uncalled_public_names() -> list[str]:
+    """``module.name`` for each ``__all__`` entry that nothing reads: no other
+    src/ module, no statement of its own module beside its definition, no
+    demo, no perfbench file and no README python block."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "scorefield").glob("*.py"))}
+    outside = [ast.parse(path.read_text(), str(path))
+               for d in ("demos", "perfbench") for path in sorted((ROOT / d).glob("*.py"))]
+    read_outside = set().union(*map(_reads, outside + _readme_python()))
+    uncalled = []
+    for name in MODULES:
+        exported = getattr(importlib.import_module(f"scorefield.{name}"), "__all__", ())
+        elsewhere = set().union(*(_reads(tree) for other, tree in trees.items() if other != name))
+        for public in exported:
+            own = set().union(*(_reads(stmt) for stmt in trees[name].body
+                                if getattr(stmt, "name", None) != public))
+            if public not in own | elsewhere | read_outside:
+                uncalled.append(f"{name}.{public}")
+    return uncalled
+
+
+def test_every_public_name_has_a_caller():
+    assert len(_readme_python()) >= 1
+    uncalled = uncalled_public_names()
+    assert {u.split(".")[1] for u in uncalled} == set(UNCALLED_KEPT), uncalled

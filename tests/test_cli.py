@@ -379,11 +379,18 @@ class TestCurves:
         ("edm:0.002:80", "edm spec must be 'edm:sigma_max', got 'edm:0.002:80'"),
         ("edm:1e200", "analytical curves are not finite at t = "),
         ("table", "sigma_table must be finite, got inf at index 1"),
+        pytest.param("table:0,1,0\n1,-0.5,1\n", "alpha_table must be >= 0, got -0.5 at index 1",
+                     id="table-negative-alpha"),
+        pytest.param("table:0,1,-0.5\n1,0.5,1\n", "sigma_table must be >= 0, got -0.5 at index 0",
+                     id="table-negative-sigma"),
+        pytest.param("table:0,0,0\n1,0.5,1\n", "alpha_table and sigma_table are both 0 at index 0",
+                     id="table-all-zero"),
+        ("what:1", "unknown schedule kind 'what', expected vp, edm or table"),
     ])
     def test_bad_schedule_exit_1(self, tmp_path, capsys, spec, message):
-        if spec == "table":
+        if spec.startswith("table"):
             table = tmp_path / "table.csv"
-            table.write_text("0,1,0\n0.5,0.6,inf\n1,0,1\n")
+            table.write_text(spec[len("table:"):] or "0,1,0\n0.5,0.6,inf\n1,0,1\n")
             spec, message = f"table:{table}", f"{table}: {message}"
         out = tmp_path / "curves.csv"
         with warnings.catch_warnings():
@@ -734,7 +741,8 @@ def _fuzz_inputs(root: Path) -> dict:
     t = np.linspace(0.0, 1.0, 6)
     tables = {"good": "".join(f"{a:.17g},{np.cos(a):.17g},{np.sin(a):.17g}\n" for a in t),
               "cell": "0,1,0\n1,0.5,a\n", "cols": "0,1\n1,0.5\n", "back": "1,0.5,0.8\n0,1,0\n",
-              "inf": "0,1,0\n0.5,0.6,inf\n1,0,1\n"}
+              "inf": "0,1,0\n0.5,0.6,inf\n1,0,1\n", "neg": "0,1,-0.5\n1,0.5,1\n",
+              "zero": "0,0,0\n1,0.5,1\n"}
     spectrum = {"mean": [0.0, 0.0], "basis": [[1.0], [0.0]], "eigenvalues": [1.0]}
     model_texts = ["[1,2]", '"x"', "null", "{not json", '{"kind":"mixture","components":5}',
                    '{"kind":"mixture","components":[1]}', '{"kind":"delta","cloud_path":5}',

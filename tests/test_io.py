@@ -85,6 +85,19 @@ class TestCloudFiles:
         with pytest.raises(InvalidData, match=f"^{re.escape(message)}$"):
             load_cloud_csv(path, with_labels=True)
 
+    @pytest.mark.parametrize("label, shown", [(2**31 + 5, "2147483653"), (2.7, "2.7")])
+    def test_bad_label_refused_when_built(self, tmp_path, label, shown):
+        message = f"^row 2 has label {shown}, not an int32 integer$"
+        with pytest.raises(InvalidData, match=message):
+            PointCloud([[1.0], [2.0]], labels=[0, label])
+        path = tmp_path / "cloud.bin"
+        with pytest.raises(InvalidData, match=message):
+            save_cloud_binary(PointCloud([[1.0], [2.0]], labels=[0, label]), path)
+        assert not path.exists()
+        edges = PointCloud([[1.0], [2.0]], labels=[-(2**31), 2**31 - 1])
+        save_cloud_binary(edges, path)
+        np.testing.assert_array_equal(load_cloud_binary(path).labels, edges.labels)
+
     def test_binary_roundtrip(self, tmp_path):
         for labels in (False, True):
             cloud = sample_cloud(labels)

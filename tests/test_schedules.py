@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorefield.errors import InvalidData, InvalidInput, UnsupportedFramework
+from scorefield.errors import InvalidData, InvalidInput
 from scorefield.schedules import (
     EdmSchedule,
     TableSchedule,
     VpSchedule,
-    convert_notation,
     karras_grid,
     parse_grid_spec,
     parse_schedule_spec,
@@ -123,39 +122,6 @@ class TestEdmSchedule:
         assert sched.T == 80.0
 
 
-class TestConvertNotation:
-    def test_edm(self):
-        sched = convert_notation("EDM", {"sigma_max": 80.0})
-        assert float(sched.alpha(3.0)) == 1.0
-        assert float(sched.sigma(3.0)) == 3.0
-
-    def test_ddpm_discrete(self):
-        sched = convert_notation("DDPM-discrete", {"alpha_bar": [1.0, 0.25]})
-        a, s = sched.alpha(1), sched.sigma(1)
-        np.testing.assert_allclose(a, 0.5)
-        np.testing.assert_allclose(s, np.sqrt(0.75))
-
-    def test_vp_roundtrip(self):
-        sched = convert_notation("VP", {"beta_min": 0.1, "beta_max": 20.0, "T": 1.0})
-        direct = VpSchedule(0.1, 20.0, 1.0)
-        t = np.linspace(0, 1, 50)
-        np.testing.assert_allclose(sched.alpha(t), direct.alpha(t), rtol=1e-12)
-        np.testing.assert_allclose(sched.sigma(t), direct.sigma(t), rtol=1e-12)
-
-    def test_edm_with_scaling(self):
-        sched = convert_notation(
-            "EDM-with-scaling",
-            {"scale": lambda t: 1.0 / (1.0 + t), "sigma": lambda t: t, "T": 2.0},
-        )
-        t = 1.0
-        np.testing.assert_allclose(float(sched.alpha(t)), 0.5, rtol=1e-6)
-        np.testing.assert_allclose(float(sched.sigma(t)), 0.5, rtol=1e-6)
-
-    def test_unknown(self):
-        with pytest.raises(UnsupportedFramework):
-            convert_notation("mystery", {})
-
-
 class TestTableSchedule:
     def test_interpolation(self):
         sched = TableSchedule([0.0, 1.0], [1.0, 0.0], [0.0, 1.0])
@@ -165,6 +131,20 @@ class TestTableSchedule:
     def test_monotonicity_enforced(self):
         with pytest.raises(Exception):
             TableSchedule([0.0, 1.0], [0.5, 0.9], [0.0, 1.0])
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1,0\n0.5,-0.5,0.8\n1,-1,1\n", "alpha_table must be >= 0, got -0.5 at index 1"),
+        ("0,1,-0.5\n1,0.5,1\n", "sigma_table must be >= 0, got -0.5 at index 0"),
+        ("0,0,0\n1,0,1\n", "alpha_table and sigma_table are both 0 at index 0"),
+    ], ids=["negative-alpha", "negative-sigma", "all-zero"])
+    def test_bad_row_named(self, tmp_path, rows, message):
+        table = np.array([[float(v) for v in row.split(",")] for row in rows.split()])
+        with pytest.raises(InvalidData, match=f"^{message}$"):
+            TableSchedule(*table.T)
+        path = tmp_path / "table.csv"
+        path.write_text(rows)
+        with pytest.raises(InvalidData, match=f"^{re.escape(str(path))}: {message}$"):
+            parse_schedule_spec(f"table:{path}")
 
 
 class TestConfig:
@@ -201,6 +181,13 @@ class TestConfig:
         assert isinstance(edm, EdmSchedule) and edm.T == 80.0
         with pytest.raises(InvalidInput):
             parse_grid_spec("1:2:3")
+
+    @pytest.mark.parametrize("spec", ["what:1", "ddpm", ":1"])
+    def test_unknown_kind_named(self, spec):
+        kind = spec.split(":")[0]
+        message = f"^unknown schedule kind '{kind}', expected vp, edm or table$"
+        with pytest.raises(InvalidInput, match=message):
+            parse_schedule_spec(spec)
 
 
 class TestScheduleFields:
