@@ -19,7 +19,7 @@ from .errors import DegeneratePlane, GridMismatch, InvalidInput, InvalidNoise, N
 from .models import ScoreModel
 from .samplers import Trajectory
 from .schedules import NoiseSchedule
-from .solution import perturbation_gain, psi_vp, xi_vp
+from .solution import _psi_vp, _xi_vp, perturbation_gain
 from .spectrum import PointCloud, _save_table
 
 __all__ = [
@@ -175,8 +175,8 @@ def analytical_curves(schedule: NoiseSchedule, lambdas, t_grid) -> CurveTable:
         xi_rows = np.empty_like(psi_rows)
         gain_rows = np.empty_like(psi_rows)
         for i, lam in enumerate(lambdas):
-            psi_rows[i] = psi_vp(alpha, sigma, alpha_T, sigma_T, lam)
-            xi_rows[i] = xi_vp(alpha, sigma, alpha_T, sigma_T, lam) / np.sqrt(lam)
+            psi_rows[i] = _psi_vp(alpha, sigma, alpha_T, sigma_T, lam)
+            xi_rows[i] = _xi_vp(alpha, sigma, alpha_T, sigma_T, lam) / np.sqrt(lam)
             gain_rows[i] = perturbation_gain(lam, alpha, sigma)
         dxi = np.gradient(xi_rows, t, axis=1)
     values = np.vstack([t, alpha, sigma, psi_rows, xi_rows, dxi, gain_rows])
@@ -217,9 +217,6 @@ class SliceField:
     s_u: tuple[np.ndarray, ...]
     s_v: tuple[np.ndarray, ...]
     norm: tuple[np.ndarray, ...]
-
-    def point(self, u: float, v: float) -> np.ndarray:
-        return self.origin + u * self.e_u + v * self.e_v
 
     def to_csv(self, path, model_index: int = 0) -> None:
         anchors = ";".join(f"({a[0]:.17g},{a[1]:.17g})" for a in self.anchor_uv)

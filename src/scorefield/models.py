@@ -49,8 +49,10 @@ Gaussian log-densities never touch a D x D matrix: with the compact spectrum
     (x-mu)^T (sigma^2 I + Sigma)^-1 (x-mu)
         = (|x-mu|^2 - sum_k lam_k/(lam_k + sigma^2) c_k^2) / sigma^2
 
-with ``c = U^T (x - mu)``. The terms in sigma alone are memoized per model
-and sigma (``_memoized``): a sampler comes back to the same few noise levels.
+with ``c = U^T (x - mu)``. A Gaussian mixture memoizes its terms in sigma
+alone per sigma (``MixtureModel._consts``), since a sampler comes back to
+the same few noise levels; a single Gaussian computes its shrink factors on
+every call and holds no per-call state.
 """
 
 from __future__ import annotations
@@ -169,19 +171,6 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _memoized(memo: dict, sigma: float, build) -> tuple:
-    # ``build(sigma)``'s arrays, read-only, kept in a model's memo per checked
-    # sigma (racing threads store equal values); past _BLOCK elements it empties.
-    if (consts := memo.get(sigma)) is None:
-        consts = build(sigma)
-        for a in consts:
-            a.setflags(write=False)
-        memo[sigma] = consts
-        if len(memo) * sum(a.size for a in consts) > _BLOCK:
-            memo.clear()
-    return consts
-
-
 def _stacked(arrays) -> np.ndarray:
     out = np.ascontiguousarray(np.stack(arrays), dtype=np.float64)
     out.setflags(write=False)
@@ -219,7 +208,8 @@ class ScoreModel:
 
     Subclasses define ``denoise``; ``score`` follows from it here and
     nowhere else. Arrays are built at construction and read-only; so are the
-    pure sigma-only values in a Gaussian's or mixture's bounded, thread-safe memo.
+    pure sigma-only values in a Gaussian mixture's bounded, thread-safe memo,
+    the only per-call state a model keeps.
     """
 
     variant = "base"
@@ -238,7 +228,6 @@ class GaussianModel(ScoreModel):
     """Single Gaussian with a compact (possibly low-rank) spectrum."""
 
     spectrum: CompactSpectrum
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     variant = "gaussian"
 
     @property
@@ -259,8 +248,7 @@ class GaussianModel(ScoreModel):
         else:
             # einsum keeps each output element an independent contiguous
             # reduction, so results do not depend on the batch size.
-            eigs = spec.eigenvalues
-            (shrink,) = _memoized(self._memo, sigma, lambda s: (eigs / (eigs + s**2),))
+            shrink = spec.eigenvalues / (spec.eigenvalues + sigma**2)
             c = np.einsum("md,dr->mr", xb - spec.mean, spec.basis)
             out = spec.mean + np.einsum("mr,dr->md", np.multiply(c, shrink, out=c), spec.basis)
         return out[0] if single else out
@@ -417,15 +405,22 @@ class MixtureModel(_PosteriorMixture):
         return len(self.components)
 
     def _consts(self, sigma):
-        # Memoized: each rank group's lam/(lam + sigma^2), then d log(2 pi) + log det.
-        def build(sigma):
+        # Each rank group's lam/(lam + sigma^2), then d log(2 pi) + log det:
+        # read-only, memoized per checked sigma (racing threads store equal
+        # values); past _BLOCK elements the memo empties.
+        if (consts := self._memo.get(sigma)) is None:
             d, logdet = self.dim, np.empty(self.n_components)
             for sel, _, eigs in self._groups:
                 logdet[sel] = (d - eigs.shape[1]) * 2.0 * np.log(sigma) + np.sum(
                     np.log(eigs + sigma**2), axis=1)
-            return (*(eigs / (eigs + sigma**2) for _, _, eigs in self._groups),
-                    d * np.log(2.0 * np.pi) + logdet)
-        return _memoized(self._memo, sigma, build)
+            consts = (*(eigs / (eigs + sigma**2) for _, _, eigs in self._groups),
+                      d * np.log(2.0 * np.pi) + logdet)
+            for a in consts:
+                a.setflags(write=False)
+            self._memo[sigma] = consts
+            if len(self._memo) * sum(a.size for a in consts) > _BLOCK:
+                self._memo.clear()
+        return consts
 
     def _forms(self, xb, means, sigma):
         """Quadratic forms ``|x - mu_i|^2 - sum_k lam_k/(lam_k + sigma^2) c_k^2``

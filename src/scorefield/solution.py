@@ -26,8 +26,6 @@ from .spectrum import CompactSpectrum
 __all__ = [
     "psi",
     "xi",
-    "psi_vp",
-    "xi_vp",
     "SolutionContext",
     "solve_state",
     "solve_denoiser",
@@ -56,7 +54,7 @@ def psi(sigma_t, sigma_T, lam):
     _check_nonneg(sigma_t=sigma_t, lam=lam)
     if np.any(np.asarray(sigma_T) <= 0):
         raise InvalidInput(f"sigma_T must be positive, got {sigma_T}")
-    return psi_vp(1.0, np.asarray(sigma_t, float), 1.0, np.asarray(sigma_T, float), lam)
+    return _psi_vp(1.0, np.asarray(sigma_t, float), 1.0, np.asarray(sigma_T, float), lam)
 
 
 def xi(sigma_t, sigma_T, lam):
@@ -68,16 +66,16 @@ def xi(sigma_t, sigma_T, lam):
     _check_nonneg(sigma_t=sigma_t, lam=lam)
     if np.any(np.asarray(sigma_T) <= 0):
         raise InvalidInput(f"sigma_T must be positive, got {sigma_T}")
-    return xi_vp(1.0, np.asarray(sigma_t, float), 1.0, np.asarray(sigma_T, float), lam)
+    return _xi_vp(1.0, np.asarray(sigma_t, float), 1.0, np.asarray(sigma_T, float), lam)
 
 
-def psi_vp(alpha_t, sigma_t, alpha_T, sigma_T, lam):
+def _psi_vp(alpha_t, sigma_t, alpha_T, sigma_T, lam):
     """Scaled state gain sqrt((sigma_t^2 + lam alpha_t^2) / (sigma_T^2 + lam alpha_T^2))."""
     lam = np.asarray(lam, float)
     return np.sqrt((sigma_t**2 + lam * alpha_t**2) / (sigma_T**2 + lam * alpha_T**2))
 
 
-def xi_vp(alpha_t, sigma_t, alpha_T, sigma_T, lam):
+def _xi_vp(alpha_t, sigma_t, alpha_T, sigma_T, lam):
     """Scaled denoiser gain alpha_t lam / sqrt((alpha_t^2 lam + sigma_t^2)(alpha_T^2 lam + sigma_T^2))."""
     lam = np.asarray(lam, float)
     return (
@@ -89,15 +87,14 @@ def xi_vp(alpha_t, sigma_t, alpha_T, sigma_T, lam):
 
 @dataclass(frozen=True)
 class SolutionContext:
-    """Anchored initial condition with cached manifold split.
+    """Anchored initial condition, kept as its manifold split.
 
-    Caches ``coeffs[k] = u_k . (x_T - alpha_T mean)`` and the off-manifold
-    residual once per anchor; re-anchoring (e.g. for teleportation) builds a
-    fresh context.
+    Holds ``coeffs[k] = u_k . (x_T - alpha_T mean)`` and the off-manifold
+    residual, from which every state and denoiser of the trajectory follows;
+    re-anchoring (e.g. for teleportation) builds a fresh context.
     """
 
     spectrum: CompactSpectrum
-    x_T: np.ndarray
     sigma_T: float
     alpha_T: float
     coeffs: np.ndarray
@@ -113,22 +110,22 @@ class SolutionContext:
     ) -> "SolutionContext":
         if sigma_T <= 0:
             raise InvalidInput(f"sigma_T must be positive, got {sigma_T}")
-        x_T = np.array(x_T, dtype=np.float64).reshape(-1)
+        x_T = np.asarray(x_T, dtype=np.float64).reshape(-1)
         if x_T.size != spectrum.dim:
             raise InvalidInput(f"x_T has length {x_T.size}, spectrum dimension is {spectrum.dim}")
         diff = x_T - alpha_T * spectrum.mean
         coeffs = spectrum.basis.T @ diff
         residual = diff - spectrum.basis @ coeffs
-        for arr in (x_T, coeffs, residual):
+        for arr in (coeffs, residual):
             arr.setflags(write=False)
-        return cls(spectrum, x_T, float(sigma_T), float(alpha_T), coeffs, residual)
+        return cls(spectrum, float(sigma_T), float(alpha_T), coeffs, residual)
 
 
 def _state_at(ctx: SolutionContext, alpha_t: float, sigma_t: float) -> np.ndarray:
     spec = ctx.spectrum
     out = alpha_t * spec.mean + (sigma_t / ctx.sigma_T) * ctx.residual
     if spec.rank:
-        gains = psi_vp(alpha_t, sigma_t, ctx.alpha_T, ctx.sigma_T, spec.eigenvalues)
+        gains = _psi_vp(alpha_t, sigma_t, ctx.alpha_T, ctx.sigma_T, spec.eigenvalues)
         out = out + spec.basis @ (gains * ctx.coeffs)
     return out
 
@@ -137,7 +134,7 @@ def _denoiser_at(ctx: SolutionContext, alpha_t: float, sigma_t: float) -> np.nda
     spec = ctx.spectrum
     out = spec.mean.copy()
     if spec.rank:
-        gains = xi_vp(alpha_t, sigma_t, ctx.alpha_T, ctx.sigma_T, spec.eigenvalues)
+        gains = _xi_vp(alpha_t, sigma_t, ctx.alpha_T, ctx.sigma_T, spec.eigenvalues)
         out = out + spec.basis @ (gains * ctx.coeffs)
     return out
 
@@ -246,9 +243,6 @@ class RotationDecomposition:
     the squared residual (present when on-manifold coefficients were given).
     """
 
-    t: np.ndarray
-    sigma: np.ndarray
-    alpha: np.ndarray
     a: np.ndarray
     b: np.ndarray
     residual_norm: np.ndarray
@@ -260,9 +254,9 @@ class RotationDecomposition:
 def rotation_decompose(traj, x_0: np.ndarray, x_T: np.ndarray, coeffs=None) -> RotationDecomposition:
     """Decompose each trajectory state onto the plane spanned by (x_0, x_T).
 
-    ``traj`` is any object with ``t``, ``sigma``, ``alpha`` and ``states``
-    arrays (see samplers.Trajectory). Passing the anchor's on-manifold
-    coefficients ``coeffs`` adds the analytic residual bound.
+    ``traj`` is any object with ``alpha`` and ``states`` arrays (see
+    samplers.Trajectory). Passing the anchor's on-manifold coefficients
+    ``coeffs`` adds the analytic residual bound.
     """
     x_0 = np.asarray(x_0, dtype=np.float64).reshape(-1)
     x_T = np.asarray(x_T, dtype=np.float64).reshape(-1)
@@ -279,9 +273,6 @@ def rotation_decompose(traj, x_0: np.ndarray, x_T: np.ndarray, coeffs=None) -> R
         coeffs = np.asarray(coeffs, dtype=np.float64)
         bound = float(ROTATION_BOUND_COEFF * np.sum(coeffs**2))
     return RotationDecomposition(
-        t=np.asarray(traj.t, dtype=np.float64),
-        sigma=np.asarray(traj.sigma, dtype=np.float64),
-        alpha=alpha,
         a=a,
         b=b,
         residual_norm=res,

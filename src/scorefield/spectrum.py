@@ -84,6 +84,8 @@ class PointCloud:
                 raise ShapeError(
                     f"labels must have shape ({data.shape[0]},), got {labels.shape}"
                 )
+            if labels.dtype.kind not in "biuf":
+                raise InvalidData(f"labels must be integers, got dtype {labels.dtype}")
             bad = np.flatnonzero(~((-(2**31) <= labels) & (labels < 2**31)
                                    & (labels == np.round(labels))))
             if bad.size:

@@ -38,23 +38,21 @@ def gmm_cloud(
     k: int = 3,
     seed: int = 0,
     separation: float = 8.0,
-    rank: int | None = None,
     eigenvalues=None,
     centers=None,
 ) -> PointCloud:
     """Well-separated mixture: k modes, each a low-rank Gaussian with a
     random orientation; labels record the true mode.
 
-    Centers default to random directions at the given separation scale;
-    passing ``centers`` (k x d) pins them explicitly.
+    Each mode's spectrum defaults to lam_j = 1 / j^2 over min(d, 3) modes;
+    passing ``eigenvalues`` sets it. Centers default to random directions at
+    the given separation scale; passing ``centers`` (k x d) pins them.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
-    if rank is None:
-        rank = min(d, 3)
     if eigenvalues is None:
-        eigenvalues = 1.0 / np.arange(1, rank + 1) ** 2
+        eigenvalues = 1.0 / np.arange(1, min(d, 3) + 1) ** 2
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     if centers is None:
         centers = separation * rng.standard_normal((k, d)) / np.sqrt(d)
@@ -73,21 +71,21 @@ def gmm_cloud(
     return PointCloud(np.vstack(rows), np.concatenate(labels))
 
 
-def anchored_five_cluster_cloud(n: int = 500, d: int = 16, seed: int = 0,
-                                radius: float = 4.0, decay: float = 3.0) -> PointCloud:
-    """Five full-dimensional power-law clusters, one centered at the origin.
+def anchored_five_cluster_cloud(n: int = 500, d: int = 16, seed: int = 0) -> PointCloud:
+    """Five full-dimensional power-law clusters (lam_j = 1 / j^3), one
+    centered at the origin.
 
     The origin mode keeps small-sigma probes of N(0, sigma^2 I) inside real
     cluster structure; the remaining centers sit asymmetrically at pairwise
-    distances >= ~radius so every k-means refinement step from 1 to 5 modes
+    distances >= ~4 so every k-means refinement step from 1 to 5 modes
     resolves one more true cluster.
     """
     centers = np.zeros((5, d))
-    centers[1, 0] = radius
-    centers[2, 1] = radius
-    centers[3, 2] = radius
-    centers[4, :3] = 0.65 * radius
-    eigenvalues = 1.0 / np.arange(1, d + 1) ** decay
+    centers[1, 0] = 4.0
+    centers[2, 1] = 4.0
+    centers[3, 2] = 4.0
+    centers[4, :3] = 2.6
+    eigenvalues = 1.0 / np.arange(1, d + 1) ** 3.0
     return gmm_cloud(n, d, k=5, seed=seed, eigenvalues=eigenvalues, centers=centers)
 
 

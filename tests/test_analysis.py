@@ -225,7 +225,7 @@ class TestSliceField:
         # plane == whole space: projected score equals the full score
         for i, u in enumerate(field.u):
             for j, v in enumerate(field.v):
-                full = model.score(field.point(u, v), 1.0)
+                full = model.score(field.origin + u * field.e_u + v * field.e_v, 1.0)
                 np.testing.assert_allclose([field.s_u[0][i, j], field.s_v[0][i, j]], full, atol=1e-12)
 
     def test_score_vanishes_at_projected_mean(self):
@@ -258,7 +258,8 @@ class TestSliceField:
         model = GaussianModel(random_spectrum(10, 7, 2))
         field = slice_field([model], anchors, 1.0, grid_n=4, extent=1.0)
         for k in range(3):
-            rebuilt = field.point(field.anchor_uv[k, 0], field.anchor_uv[k, 1])
+            u, v = field.anchor_uv[k]
+            rebuilt = field.origin + u * field.e_u + v * field.e_v
             np.testing.assert_allclose(rebuilt, anchors[k], atol=1e-12)
 
     def test_collinear_rejected(self):

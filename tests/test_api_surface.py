@@ -5,6 +5,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -120,3 +121,56 @@ def test_every_public_name_has_a_caller():
     assert len(_readme_python()) >= 1
     uncalled = uncalled_public_names()
     assert {u.split(".")[1] for u in uncalled} == set(UNCALLED_KEPT), uncalled
+
+
+# Public methods and properties of exported classes with no reader outside
+# their own definition, each kept for a reason.
+UNREAD_MEMBERS_KEPT = {
+    "posterior_weights": "tests pin the softmax limits through it; directions 3, 4 and 13 build on it",
+    "covariance": "the dense reference that tests compare the compact forms against",
+    "from_cloud": "the far-field law of acceptance criterion 4 is stated against it",
+}
+
+
+def _attribute_reads(trees) -> list[str]:
+    return [n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
+
+def _member_defs(trees) -> dict[str, ast.AST]:
+    """``Class.member`` -> definition node, for each public method or property
+    that a class in some ``__all__`` defines or inherits from a scorefield class."""
+    defs = {}
+    for name in MODULES:
+        mod = importlib.import_module(f"scorefield.{name}")
+        for public in getattr(mod, "__all__", ()):
+            cls = getattr(mod, public)
+            if not isinstance(cls, type):
+                continue
+            for klass in cls.__mro__:
+                if not klass.__module__.startswith("scorefield."):
+                    continue
+                body = next(n for n in ast.walk(trees[klass.__module__.split(".")[1]])
+                            if isinstance(n, ast.ClassDef) and n.name == klass.__name__).body
+                for node in body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        defs.setdefault(f"{public}.{node.name}", node)
+    return defs
+
+
+def unread_public_members() -> list[str]:
+    """``Class.member`` for each public method or property that no attribute
+    read names outside its own definition: in src/, demos/, perfbench/ or a
+    README python block."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "scorefield").glob("*.py"))}
+    outside = [ast.parse(path.read_text(), str(path))
+               for d in ("demos", "perfbench") for path in sorted((ROOT / d).glob("*.py"))]
+    reads = Counter(_attribute_reads(list(trees.values()) + outside + _readme_python()))
+    return [member for member, node in _member_defs(trees).items()
+            if reads[node.name] <= Counter(_attribute_reads([node]))[node.name]]
+
+
+def test_every_public_member_has_a_reader():
+    unread = unread_public_members()
+    assert {u.split(".")[1] for u in unread} == set(UNREAD_MEMBERS_KEPT), unread

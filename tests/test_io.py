@@ -98,6 +98,12 @@ class TestCloudFiles:
         save_cloud_binary(edges, path)
         np.testing.assert_array_equal(load_cloud_binary(path).labels, edges.labels)
 
+    @pytest.mark.parametrize("label, dtype", [("a", "<U1"), (2**70, "object"), (None, "object")])
+    def test_label_that_is_not_a_number_refused(self, label, dtype):
+        message = f"labels must be integers, got dtype {dtype}"
+        with pytest.raises(InvalidData, match=f"^{re.escape(message)}$"):
+            PointCloud([[1.0]], labels=[label])
+
     def test_binary_roundtrip(self, tmp_path):
         for labels in (False, True):
             cloud = sample_cloud(labels)

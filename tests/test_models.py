@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -356,14 +357,12 @@ class TestStackedMixture:
     def test_stacked_arrays_are_read_only(self):
         # So are the sigma-only constants that a call memoizes.
         model = ranked_mixture(3, 16, [3, 0, 3])
-        gauss = GaussianModel(random_spectrum(4, 16, 3))
         arrays = [model._log_pi, model._centers]
         for _, bases, eigs in model._groups:
             arrays += [bases, eigs]
-        for m in (model, gauss):
-            m.denoise(np.zeros(16), 0.5)
-            assert len(m._memo) == 1
-            arrays += [a for consts in m._memo.values() for a in consts]
+        model.denoise(np.zeros(16), 0.5)
+        assert len(model._memo) == 1
+        arrays += [a for consts in model._memo.values() for a in consts]
         assert not any(a.flags.writeable for a in arrays)
 
     def test_denoise_peak_memory_follows_chunk_budget(self):
@@ -936,7 +935,8 @@ class TestValidation:
 
 
 class TestSigmaMemo:
-    """Gaussians and Gaussian mixtures memoize what depends on sigma alone."""
+    """Gaussian mixtures memoize what depends on sigma alone; a warm mixture
+    and a Gaussian, which keeps no memo, give a fresh model's bits."""
 
     SIGMAS = (1e-3, 0.05, 0.7, 2.0, 80.0, 1e154)
 
@@ -960,7 +960,7 @@ class TestSigmaMemo:
         for sigma in rng.permutation(self.SIGMAS * 2):
             for warm, cold in zip(self.calls(model, x, sigma), self.calls(memo_model(case), x, sigma)):
                 np.testing.assert_array_equal(warm, cold)
-        if case != "isotropic":
+        if isinstance(model, MixtureModel):
             assert sorted(model._memo) == sorted(self.SIGMAS)
 
     @pytest.mark.parametrize("case", MEMO_CASES)
@@ -997,21 +997,28 @@ class TestSigmaMemo:
         finally:
             sys.setswitchinterval(interval)
         assert done == [0, 1, 2, 3]
-        if case != "isotropic":
+        if isinstance(model, MixtureModel):
             assert sorted(model._memo) == sigmas
 
     def test_memo_stays_within_the_block_budget(self):
-        # 520 and 512 elements per sigma: 126 and 128 sigmas fit, 300 do not.
-        for model in (ranked_mixture(72, 64, [64] * 8), GaussianModel(random_spectrum(73, 512, 512))):
-            x = np.zeros(model.dim)
-            sizes = []
-            for sigma in np.geomspace(1e-2, 1e2, 300):
-                model.denoise(x, sigma)
-                sizes.append(sum(a.size for consts in model._memo.values() for a in consts))
-            assert 0 < max(sizes) <= _BLOCK
-            assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied, not grown
+        # 520 elements per sigma: 126 sigmas fit, 300 do not.
+        model = ranked_mixture(72, 64, [64] * 8)
+        x = np.zeros(model.dim)
+        sizes = []
+        for sigma in np.geomspace(1e-2, 1e2, 300):
+            model.denoise(x, sigma)
+            sizes.append(sum(a.size for consts in model._memo.values() for a in consts))
+        assert 0 < max(sizes) <= _BLOCK
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied, not grown
 
-    @pytest.mark.parametrize("case", [MEMO_CASES[-3], "gaussian"])
+    def test_gaussian_keeps_no_state(self):
+        model = GaussianModel(random_spectrum(73, 512, 512))
+        for sigma in np.geomspace(1e-2, 1e2, 300):
+            model.denoise(np.zeros(model.dim), sigma)
+        assert [f.name for f in dataclasses.fields(GaussianModel)] == ["spectrum"]
+        assert not hasattr(model, "_memo")
+
+    @pytest.mark.parametrize("case", MEMO_CASES[-3:-1])
     def test_heun_fills_one_entry_per_level(self, case):
         # A Heun step evaluates its own level and, but on the last step, the
         # next one: 9 calls per trajectory at the first 5 of the 6 levels.
@@ -1020,4 +1027,7 @@ class TestSigmaMemo:
         rng = np.random.default_rng(8)
         trajs = [heun_sample(model, grid, 80.0 * rng.standard_normal(model.dim)) for _ in range(3)]
         assert [t.nfe for t in trajs] == [9, 9, 9]
-        assert sorted(model._memo) == sorted(float(s) for s in grid.levels[:-1])
+        if isinstance(model, MixtureModel):
+            assert sorted(model._memo) == sorted(float(s) for s in grid.levels[:-1])
+        else:
+            assert not hasattr(model, "_memo")
